@@ -12,7 +12,10 @@ Entry points come from two places:
 * **defaults** — when the analyzed set contains the real executor /
   transport / trainer modules, their canonical entries are verified:
   ``_run_rank`` under both schedules, ``Endpoint.allreduce`` under
-  ring and tree, and both simulated trainers' ``_train_epoch``.  A
+  ring and tree, and the in-process ``_train_epoch`` body once per
+  simulated trainer class (synchronous, pipelined, GAT): resolved
+  through the class's MRO and interpreted with that class as the
+  receiver, so a subclass's overridden steps are verified.  A
   default entry whose module is present but whose function has been
   renamed away is itself a finding — silent loss of verification
   coverage is the failure mode this pass exists to prevent.
@@ -44,7 +47,9 @@ _ENTRY_RE = re.compile(r"#\s*repro-lint:\s*comm-entry\b")
 
 #: Default entries: (label, module-path suffix, function, class, kind,
 #: config).  Missing suffix -> entry silently skipped (partial lint
-#: targets); present suffix + missing function -> finding.
+#: targets); present suffix + missing function -> finding.  With a
+#: class, the suffix names the module declaring the *class*; the method
+#: may be inherited from any analyzed base.
 _DEFAULT_ENTRIES: Tuple[Tuple[str, str, str, Optional[str], str, dict], ...] = (
     ("run-rank-synchronous", "repro/dist/executor.py", "_run_rank", None,
      "rank_task", {"schedule": "synchronous"}),
@@ -58,6 +63,8 @@ _DEFAULT_ENTRIES: Tuple[Tuple[str, str, str, Optional[str], str, dict], ...] = (
      "DistributedTrainer", "single", {}),
     ("trainer-pipelined", "repro/core/pipeline.py", "_train_epoch",
      "PipelinedTrainer", "single", {}),
+    ("trainer-gat", "repro/core/gat_trainer.py", "_train_epoch",
+     "DistributedGATTrainer", "single", {}),
 )
 
 
@@ -74,9 +81,14 @@ def discover_entries(
         if module_path is None:
             continue
         if cls is not None:
-            info = program.lookup_method(cls, fname)
-            if info is not None and not info.module.path.endswith(suffix):
-                info = None
+            owner = program.classes.get(cls)
+            info = None
+            if owner is not None and owner.module.path.endswith(suffix):
+                info = program.lookup_method(cls, fname)
+                if info is None and any(
+                    base not in program.classes for base in owner.bases
+                ):
+                    continue  # inherited from outside a partial lint target
         else:
             info = program.find_function(fname, suffix)
         if info is None:
@@ -93,8 +105,12 @@ def discover_entries(
                      "in repro.analysis.commcheck alongside the rename",
             ))
             continue
+        config = dict(config)
+        if kind == "single":
+            # Interpret the (possibly inherited) body as `cls` runs it.
+            config["receiver"] = cls
         entries.append(EntrySpec(name=label, func=info, kind=kind,
-                                 config=dict(config)))
+                                 config=config))
 
     for module in program.modules:
         for lineno, line in enumerate(module.lines, start=1):

@@ -72,7 +72,9 @@ class EntrySpec:
     * ``allreduce`` — ``Endpoint.allreduce`` bound to a symbolic tag,
       ``config["algorithm"]`` picking ring or tree;
     * ``single`` — a metering-plane method (the simulated trainers):
-      extracted for the catalogue, not rank-matched.
+      extracted for the catalogue, not rank-matched;
+      ``config["receiver"]`` names the class whose MRO resolves the
+      method's ``self`` calls (default: the defining class).
     """
 
     name: str
@@ -133,7 +135,8 @@ def _entry_args(entry: EntrySpec, rank: int, world: int) -> Dict[str, object]:
             "algorithm": entry.config.get("algorithm", "ring"),
         }
     if entry.kind == "single":
-        obj = ObjVal(entry.func.class_name or "object", {
+        receiver = entry.config.get("receiver") or entry.func.class_name
+        obj = ObjVal(receiver or "object", {
             "comm": TransportVal("Transport", {"num_parts": world}),
             "num_parts": world,
         })

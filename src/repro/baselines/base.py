@@ -29,9 +29,10 @@ import numpy as np
 from ..graph.graph import Graph
 from ..graph.propagation import mean_aggregation, sym_norm
 from ..nn import functional as F
-from ..nn.metrics import accuracy, f1_micro_multilabel
+from ..nn.metrics import evaluate_full_graph
+from ..nn.module import module_dtype
 from ..nn.optim import Adam, Optimizer
-from ..tensor import Tensor, no_grad
+from ..tensor import Tensor
 
 __all__ = ["BaselineHistory", "MiniBatchTrainer"]
 
@@ -80,10 +81,9 @@ class MiniBatchTrainer:
         self.rng = np.random.default_rng(seed)
         self.dropout_rng = np.random.default_rng(seed + 1)
         self.optimizer = optimizer or Adam(model.parameters(), lr=lr)
-        if aggregation == "mean":
-            self.eval_prop = mean_aggregation(graph.adj)
-        else:
-            self.eval_prop = sym_norm(graph.adj)
+        # evaluate() runs in the model's dtype (see evaluate_full_graph).
+        normalise = mean_aggregation if aggregation == "mean" else sym_norm
+        self.eval_prop = normalise(graph.adj, dtype=module_dtype(model))
         self.train_nodes = np.flatnonzero(graph.train_mask)
         self.history = BaselineHistory()
         # Per-epoch accumulators, reset by train_epoch.
@@ -98,14 +98,7 @@ class MiniBatchTrainer:
             yield order[start:start + self.batch_size]
 
     def _loss(self, logits: Tensor, labels: np.ndarray) -> Tensor:
-        if self.graph.multilabel:
-            return F.bce_with_logits(logits, labels)
-        return F.cross_entropy(logits, labels)
-
-    def _metric(self, logits: np.ndarray, labels: np.ndarray) -> float:
-        if self.graph.multilabel:
-            return f1_micro_multilabel(logits, labels)
-        return accuracy(logits, labels)
+        return F.task_loss(logits, labels, self.graph.multilabel)
 
     # ------------------------------------------------------------------
     def train_step(self, batch: np.ndarray) -> float:  # pragma: no cover
@@ -131,18 +124,10 @@ class MiniBatchTrainer:
 
     # ------------------------------------------------------------------
     def evaluate(self) -> Dict[str, float]:
-        self.model.eval()
-        g = self.graph
-        with no_grad():
-            logits = self.model.full_forward(
-                self.eval_prop, Tensor(g.features), self.dropout_rng
-            ).numpy()
-        self.model.train()
-        return {
-            "train": self._metric(logits[g.train_mask], g.labels[g.train_mask]),
-            "val": self._metric(logits[g.val_mask], g.labels[g.val_mask]),
-            "test": self._metric(logits[g.test_mask], g.labels[g.test_mask]),
-        }
+        return evaluate_full_graph(
+            self.model, self.graph,
+            lambda x: self.model.full_forward(self.eval_prop, x, self.dropout_rng),
+        )
 
     def train(self, epochs: int, eval_every: int = 0) -> BaselineHistory:
         for epoch in range(epochs):

@@ -12,10 +12,10 @@ import numpy as np
 from ..graph.graph import Graph
 from ..graph.propagation import mean_aggregation, sym_norm
 from ..nn import functional as F
-from ..nn.metrics import accuracy, f1_micro_multilabel
+from ..nn.metrics import evaluate_full_graph
 from ..nn.module import resolve_model_dtype
 from ..nn.optim import Adam, Optimizer
-from ..tensor import Tensor, no_grad
+from ..tensor import Tensor
 
 __all__ = ["FullGraphTrainer"]
 
@@ -47,11 +47,6 @@ class FullGraphTrainer:
         self.loss_history: List[float] = []
         self.wall_seconds: List[float] = []
 
-    def _metric(self, logits: np.ndarray, labels: np.ndarray) -> float:
-        if self.graph.multilabel:
-            return f1_micro_multilabel(logits, labels)
-        return accuracy(logits, labels)
-
     def train_epoch(self) -> float:
         self.model.train()
         g = self.graph
@@ -60,10 +55,7 @@ class FullGraphTrainer:
             self.prop, Tensor(g.features, dtype=self.dtype), self.dropout_rng
         )
         logits = F.masked_rows(out, g.train_mask)
-        if g.multilabel:
-            loss = F.bce_with_logits(logits, g.labels[g.train_mask])
-        else:
-            loss = F.cross_entropy(logits, g.labels[g.train_mask])
+        loss = F.task_loss(logits, g.labels[g.train_mask], g.multilabel)
         self.optimizer.zero_grad()
         loss.backward()
         self.optimizer.step()
@@ -72,18 +64,10 @@ class FullGraphTrainer:
         return loss.item()
 
     def evaluate(self) -> Dict[str, float]:
-        self.model.eval()
-        g = self.graph
-        with no_grad():
-            logits = self.model.full_forward(
-                self.prop, Tensor(g.features, dtype=self.dtype), self.dropout_rng
-            ).numpy()
-        self.model.train()
-        return {
-            "train": self._metric(logits[g.train_mask], g.labels[g.train_mask]),
-            "val": self._metric(logits[g.val_mask], g.labels[g.val_mask]),
-            "test": self._metric(logits[g.test_mask], g.labels[g.test_mask]),
-        }
+        return evaluate_full_graph(
+            self.model, self.graph,
+            lambda x: self.model.full_forward(self.prop, x, self.dropout_rng),
+        )
 
     def train(self, epochs: int) -> List[float]:
         for _ in range(epochs):

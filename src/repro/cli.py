@@ -43,7 +43,7 @@ from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.models import GATModel, GCNModel, GraphSAGEModel
 from .nn.schedulers import CosineAnnealingLR, StepLR
 from .partition import partition_graph
-from .tensor import get_backend, set_backend
+from .tensor import set_backend
 from .tensor.kernels import backend_names as kernel_backend_names
 
 __all__ = [
@@ -287,10 +287,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         return lint_main(arg_list[1:])
     args = build_parser().parse_args(arg_list)
+    if args.model == "gat":
+        # The GAT trainer draws uniform BNS over edge lists and has no
+        # pipelined variant; refuse what it cannot honour.
+        unsupported = [flag for flag, given in (
+            ("--pipelined", args.pipelined),
+            (f"--sampler {args.sampler}", args.sampler not in ("bns", "full")),
+            (f"--mode {args.mode}", args.mode != "renorm"),
+            ("--p-min", args.p_min is not None),
+        ) if given]
+        if unsupported:
+            print(f"error: {', '.join(unsupported)} is not supported with "
+                  "--model gat", file=sys.stderr)
+            return 2
     if args.kernel_backend:
-        # One process-wide switch covers every trainer (including the
-        # GAT path, which drives its split operators through the same
-        # registry) and fails fast when the backend is unavailable.
+        # One process-wide switch covers every trainer (the GAT trainer
+        # takes no backend argument and resolves this default) and
+        # fails fast when the backend is unavailable.
         set_backend(args.kernel_backend)
 
     graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
@@ -309,18 +322,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
 
     rng = np.random.default_rng(args.seed + 7)
-    p = args.sampling_rate
     if args.model == "gat":
-        if args.pipelined:
-            print("error: --pipelined is not supported with --model gat",
-                  file=sys.stderr)
-            return 2
         model = GATModel(
             graph.feature_dim, args.n_hidden, graph.num_classes,
             args.n_layers, args.dropout, rng, num_heads=2, dtype=args.dtype,
         )
         trainer = DistributedGATTrainer(
-            graph, partition, model, p=p, lr=args.lr, seed=args.seed,
+            graph, partition, model,
+            p=1.0 if args.sampler == "full" else args.sampling_rate,
+            lr=args.lr, seed=args.seed,
             cluster=RTX2080TI_CLUSTER, dtype=args.dtype,
         )
     else:
@@ -343,21 +353,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not args.quiet:
             print(f"resumed from {args.resume} (epoch {epoch})")
 
-    if args.model == "gat":
-        history = trainer.train(args.n_epochs, eval_every=args.eval_every)
-    else:
-        scheduler = None
-        if args.lr_schedule == "step":
-            scheduler = StepLR(
-                trainer.optimizer, step_size=max(args.n_epochs // 3, 1), gamma=0.3
-            )
-        elif args.lr_schedule == "cosine":
-            scheduler = CosineAnnealingLR(trainer.optimizer, t_max=args.n_epochs)
-        history = trainer.train(
-            args.n_epochs, eval_every=args.eval_every,
-            verbose=not args.quiet, patience=args.patience,
-            scheduler=scheduler,
+    scheduler = None
+    if args.lr_schedule == "step":
+        scheduler = StepLR(
+            trainer.optimizer, step_size=max(args.n_epochs // 3, 1), gamma=0.3
         )
+    elif args.lr_schedule == "cosine":
+        scheduler = CosineAnnealingLR(trainer.optimizer, t_max=args.n_epochs)
+    history = trainer.train(
+        args.n_epochs, eval_every=args.eval_every,
+        verbose=not args.quiet, patience=args.patience,
+        scheduler=scheduler,
+    )
 
     if args.save_checkpoint:
         path = save_checkpoint(
@@ -368,9 +375,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"checkpoint written to {path}")
 
     scores = trainer.evaluate()
-    backend = getattr(trainer, "kernel_backend", None)
     rows = [
-        ["kernel backend", backend.name if backend is not None else get_backend().name],
+        ["kernel backend", trainer.kernel_backend.name],
         ["dtype", f"{trainer.dtype} ({trainer.comm.bytes_per_scalar} B/scalar)"],
         ["test score", f"{scores['test']:.4f}"],
         ["val score", f"{scores['val']:.4f}"],

@@ -1,4 +1,12 @@
-"""The paper's contribution: BNS-GCN sampling + partition-parallel trainers."""
+"""The paper's contribution: BNS-GCN sampling + partition-parallel trainers.
+
+Algorithm 1's epoch is implemented once, in
+:class:`~repro.core.trainer.DistributedTrainer`;
+:class:`~repro.core.pipeline.PipelinedTrainer` and
+:class:`~repro.core.gat_trainer.DistributedGATTrainer` subclass it and
+replace only the steps that differ (which boundary block is stacked
+and what is differentiated; how a plan is drawn and a layer applied).
+"""
 
 from .sampler import (
     BoundaryEdgeSampler,

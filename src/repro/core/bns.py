@@ -17,7 +17,7 @@ of Algorithm 1 holds locally:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,7 +27,7 @@ from ..graph.propagation import mean_aggregation, safe_inverse, sym_norm
 from ..partition.types import PartitionResult
 from ..tensor import SplitOperator, resolve_backend, resolve_dtype
 
-__all__ = ["RankData", "PartitionRuntime"]
+__all__ = ["RankData", "PartitionRuntime", "derive_seeds"]
 
 
 @dataclass
@@ -239,6 +239,18 @@ class RankData:
         for s, e in zip(starts, ends):
             pos = kept_positions[s:e]
             yield int(owners[s]), pos, self.bd_local_index[pos]
+
+
+def derive_seeds(seed: int, num_parts: int) -> Tuple[List[int], int]:
+    """``(per-rank sampling seeds, dropout seed)`` of a run seeded ``seed``.
+
+    The in-process trainers and the rank executor both derive their RNG
+    streams here, which is what makes a seeded run draw the same
+    boundary samples whether its ranks are simulated or real.
+    """
+    root = np.random.default_rng(seed)
+    sample_seeds = [int(s) for s in root.integers(0, 2**63 - 1, num_parts)]
+    return sample_seeds, int(root.integers(0, 2**63 - 1))
 
 
 class PartitionRuntime:

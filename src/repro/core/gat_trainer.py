@@ -8,6 +8,13 @@ softmax renormalises over the survivors (a convex combination needs no
 features/gradients of kept boundary nodes — which is why the paper's
 Table 10 speedups mirror the SAGE ones at a lower ratio (GAT is more
 compute-heavy, diluting the communication share).
+
+Accordingly :class:`DistributedGATTrainer` is
+:class:`~repro.core.trainer.DistributedTrainer` with three steps
+replaced — the plan is an edge list, the layer is an attention layer
+priced by its own FLOP count, and evaluation runs over the full edge
+list — while the exchange, its metering, the loss and the training
+loop are the inherited ones.
 """
 
 from __future__ import annotations
@@ -18,22 +25,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..dist.transport import resolve_transport
-from ..dist.cost_model import (
-    SECONDS_PER_SAMPLER_EDGE,
-    ClusterSpec,
-    epoch_time,
-)
+from ..dist.cost_model import ClusterSpec
 from ..graph.graph import Graph
-from ..nn import functional as F
-from ..nn.metrics import accuracy, f1_micro_multilabel
 from ..nn.models import GATModel
-from ..nn.module import resolve_model_dtype
-from ..nn.optim import Adam, Optimizer
+from ..nn.optim import Optimizer
 from ..partition.types import PartitionResult
-from ..tensor import Tensor, concat_rows, gather_rows, no_grad, relu
-from .bns import PartitionRuntime
-from .trainer import TrainHistory
+from .sampler import EpochPlan
+from .trainer import DistributedTrainer
 
 __all__ = ["DistributedGATTrainer"]
 
@@ -53,8 +51,9 @@ class _RankEdges:
     dst_bd: np.ndarray
 
 
-class DistributedGATTrainer:
-    """Algorithm 1 with a GAT model instead of GraphSAGE."""
+class DistributedGATTrainer(DistributedTrainer):
+    """Algorithm 1 with a GAT model instead of GraphSAGE: uniform BNS
+    at rate ``p`` over explicit edge lists (see the module docstring)."""
 
     def __init__(
         self,
@@ -71,29 +70,11 @@ class DistributedGATTrainer:
     ) -> None:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"sampling rate p must be in [0, 1], got {p}")
-        self.dtype = resolve_model_dtype(model, dtype, optimizer)
-        self.graph = graph
-        self.model = model
+        super().__init__(
+            graph, partition, model, lr=lr, seed=seed, cluster=cluster,
+            optimizer=optimizer, transport=transport, dtype=dtype,
+        )
         self.p = p
-        self.runtime = PartitionRuntime(
-            graph, partition, aggregation="mean", dtype=self.dtype
-        )
-        self.comm = resolve_transport(
-            transport, partition.num_parts, dtype=self.dtype
-        )
-        self.cluster = cluster
-        self.optimizer = optimizer or Adam(model.parameters(), lr=lr)
-        root = np.random.default_rng(seed)
-        self.sample_rngs = [
-            np.random.default_rng(s)
-            for s in root.integers(0, 2**63 - 1, partition.num_parts)
-        ]
-        self.dropout_rng = np.random.default_rng(root.integers(0, 2**63 - 1))
-        self.history = TrainHistory()
-        self._features = [
-            np.asarray(graph.features[r.inner], dtype=self.dtype)
-            for r in self.runtime.ranks
-        ]
         self._edges: List[_RankEdges] = [
             self._build_edges(r) for r in self.runtime.ranks
         ]
@@ -112,144 +93,44 @@ class DistributedGATTrainer:
         )
 
     # ------------------------------------------------------------------
-    def _metric(self, logits: np.ndarray, labels: np.ndarray) -> float:
-        if self.graph.multilabel:
-            return f1_micro_multilabel(logits, labels)
-        return accuracy(logits, labels)
-
-    def train_epoch(self) -> float:
-        self.model.train()
-        self.comm.reset()
-        ranks = self.runtime.ranks
-        m = self.runtime.num_parts
-        dims = self.model.dims
-
-        # BNS draw per rank.
+    def _draw_plan(self, rank) -> EpochPlan:
+        """BNS draw over edge lists: ``plan.prop`` is the ``(src, dst)``
+        pair of the surviving edges, not a propagation operator."""
         t0 = time.perf_counter()
-        kept_sets: List[np.ndarray] = []
-        edge_sets: List[tuple] = []
-        for i, r in enumerate(ranks):
-            if self.p >= 1.0:
-                kept = np.arange(r.n_boundary, dtype=np.int64)
-            elif self.p <= 0.0:
-                kept = np.empty(0, dtype=np.int64)
-            else:
-                kept = np.flatnonzero(self.sample_rngs[i].random(r.n_boundary) < self.p)
-            kept_sets.append(kept)
-            e = self._edges[i]
-            # Keep boundary edges whose source survived; remap source
-            # columns into the compacted [inner ; kept] space.
-            pos_map = np.full(r.n_boundary, -1, dtype=np.int64)
-            pos_map[kept] = np.arange(len(kept))
-            alive = pos_map[e.src_bd_pos] >= 0
-            src = np.concatenate(
-                [e.src_inner, r.n_inner + pos_map[e.src_bd_pos[alive]]]
-            )
-            dst = np.concatenate([e.dst_inner, e.dst_bd[alive]])
-            edge_sets.append((src, dst))
-            self.comm.broadcast(i, len(kept), "sample_sync")
-        sampling_seconds = time.perf_counter() - t0
+        if self.p >= 1.0:
+            kept = np.arange(rank.n_boundary, dtype=np.int64)
+        elif self.p <= 0.0:
+            kept = np.empty(0, dtype=np.int64)
+        else:
+            draws = self.sample_rngs[rank.rank].random(rank.n_boundary)
+            kept = np.flatnonzero(draws < self.p)
+        e = self._edges[rank.rank]
+        # Keep boundary edges whose source survived; remap source
+        # columns into the compacted [inner ; kept] space.
+        pos_map = np.full(rank.n_boundary, -1, dtype=np.int64)
+        pos_map[kept] = np.arange(len(kept))
+        alive = pos_map[e.src_bd_pos] >= 0
+        src = np.concatenate(
+            [e.src_inner, rank.n_inner + pos_map[e.src_bd_pos[alive]]]
+        )
+        dst = np.concatenate([e.dst_inner, e.dst_bd[alive]])
         # Device-scale sampling cost for the modelled breakdown: p=1
         # needs no per-epoch work; otherwise ops ∝ boundary nodes drawn
         # plus boundary edges filtered/remapped.
-        if self.p >= 1.0:
-            modeled_sampling = 0.0
-        else:
-            ops = sum(
-                r.n_boundary + len(self._edges[i].src_bd_pos)
-                for i, r in enumerate(ranks)
-            )
-            modeled_sampling = ops * SECONDS_PER_SAMPLER_EDGE
+        ops = 0 if self.p >= 1.0 else rank.n_boundary + len(e.src_bd_pos)
+        return EpochPlan((src, dst), kept, time.perf_counter() - t0, ops)
 
-        h_ranks = [Tensor(x) for x in self._features]
-        flops = np.zeros(m)
-        for layer_idx, layer in enumerate(self.model.layers):
-            d_in = dims[layer_idx]
-            new_h = []
-            for i, r in enumerate(ranks):
-                parts = [h_ranks[i]]
-                for owner, _pos, owner_rows in r.boundary_groups(kept_sets[i]):
-                    parts.append(gather_rows(h_ranks[owner], owner_rows))
-                    self.comm.send(owner, i, len(owner_rows) * d_in, "forward")
-                    self.comm.send(i, owner, len(owner_rows) * d_in, "backward")
-                h_all = concat_rows(parts) if len(parts) > 1 else parts[0]
-                h_all = self.model.dropout(h_all, self.dropout_rng)
-                src, dst = edge_sets[i]
-                out = layer(h_all, src, dst, r.n_inner)
-                if layer_idx < len(self.model.layers) - 1:
-                    out = relu(out)
-                new_h.append(out)
-                flops[i] += 3.0 * layer.flops(r.n_inner, h_all.shape[0], len(src))
-            h_ranks = new_h
+    def _apply_layer(self, layer_idx, rank, plan, h_all):
+        layer = self.model.layers[layer_idx]
+        src, dst = plan.prop
+        out = layer(h_all, src, dst, rank.n_inner)
+        return out, 3.0 * layer.flops(rank.n_inner, h_all.shape[0], len(src))
 
-        total = None
-        for i, r in enumerate(ranks):
-            if r.train_local.size == 0:
-                continue
-            logits = gather_rows(h_ranks[i], r.train_local)
-            labels = r.labels[r.train_local]
-            if self.graph.multilabel:
-                part_loss = F.bce_with_logits(logits, labels, reduction="sum")
-            else:
-                part_loss = F.cross_entropy(logits, labels, reduction="sum")
-            total = part_loss if total is None else total + part_loss
-        if total is None:
-            raise RuntimeError("no training nodes in any partition")
-        denom = self.runtime.total_train * (
-            self.graph.labels.shape[1] if self.graph.multilabel else 1
-        )
-        loss = total * (1.0 / denom)
-        self.optimizer.zero_grad()
-        loss.backward()
-        p2p_bytes = self.comm.pairwise.copy()
-        self.comm.allreduce(self.model.num_parameters(), "reduce")
-        self.optimizer.step()
-
-        self.history.loss.append(loss.item())
-        self.history.comm_bytes.append(self.comm.total_bytes())
-        self.history.sampling_seconds.append(sampling_seconds)
-        if self.cluster is not None:
-            self.history.modeled.append(
-                epoch_time(
-                    per_rank_flops=flops,
-                    pairwise_comm_bytes=p2p_bytes,
-                    model_bytes=self.model.num_parameters() * self.comm.bytes_per_scalar,
-                    cluster=self.cluster,
-                    sampling_seconds=modeled_sampling,
-                )
-            )
-        return loss.item()
-
-    # ------------------------------------------------------------------
-    def evaluate(self) -> dict:
-        self.model.eval()
-        g = self.graph
-        src, dst = g.edge_list()
+    def _full_logits(self, features):
+        src, dst = self.graph.edge_list()
         # Self loops for evaluation too.
-        loop = np.arange(g.num_nodes, dtype=np.int64)
-        src = np.concatenate([src, loop])
-        dst = np.concatenate([dst, loop])
-        with no_grad():
-            logits = self.model.full_forward(
-                src, dst, Tensor(g.features, dtype=self.dtype), self.dropout_rng
-            ).numpy()
-        self.model.train()
-        return {
-            "train": self._metric(logits[g.train_mask], g.labels[g.train_mask]),
-            "val": self._metric(logits[g.val_mask], g.labels[g.val_mask]),
-            "test": self._metric(logits[g.test_mask], g.labels[g.test_mask]),
-        }
-
-    def train(self, epochs: int, eval_every: int = 0) -> TrainHistory:
-        for epoch in range(epochs):
-            t0 = time.perf_counter()
-            self.train_epoch()
-            self.history.wall_seconds.append(time.perf_counter() - t0)
-            if eval_every and (
-                epoch % eval_every == eval_every - 1 or epoch == epochs - 1
-            ):
-                scores = self.evaluate()
-                self.history.val_metric.append(scores["val"])
-                self.history.test_metric.append(scores["test"])
-                self.history.eval_epochs.append(epoch)
-        return self.history
+        loop = np.arange(self.graph.num_nodes, dtype=np.int64)
+        return self.model.full_forward(
+            np.concatenate([src, loop]), np.concatenate([dst, loop]),
+            features, self.dropout_rng,
+        )

@@ -7,56 +7,41 @@ partition-parallel training methods" (Section 3.2).  PipeGCN (Wan et
 al., ICLR 2022), the companion work the paper cites, hides the
 boundary exchange behind local computation by consuming *stale*
 boundary features — the values each owner produced in the previous
-epoch — so communication and computation overlap and the epoch is
-paced by ``max(compute, communication)`` instead of their sum.
+epoch — so the epoch is paced by ``max(compute, communication)``
+instead of their sum.
 
-:class:`PipelinedTrainer` implements that execution model on the same
-:class:`~repro.core.bns.PartitionRuntime` substrate as the synchronous
-:class:`~repro.core.trainer.DistributedTrainer`, and accepts any
+:class:`PipelinedTrainer` is :class:`~repro.core.trainer.DistributedTrainer`
+with two steps of its epoch body replaced; sampling (any
 :class:`~repro.core.sampler.BoundarySampler`, so BNS + pipelining
-compose exactly as the paper suggests:
+compose as the paper suggests), metering, loss and bookkeeping are
+inherited:
 
-* epoch ``t`` samples a fresh boundary subset ``U_i`` (Algorithm 1
-  lines 4-7, unchanged);
-* the features gathered for ``U_i`` are the owners' layer inputs from
-  epoch ``t-1`` (staleness 1); epoch 0 performs a fresh warm-up
-  exchange, like PipeGCN's first iteration;
-* the same bytes travel either way — staleness changes *when* traffic
-  moves, not how much — so Eq. 3 metering is identical and the
-  modelled epoch time simply flips ``overlap_communication``.
-
-Stale gradients are applied through a *ghost-loss* construction: each
-epoch harvests the tape's gradients with respect to the gathered stale
-feature blocks, and the next epoch adds ``⟨stop_grad(g_stale),
-h_current⟩`` terms to the loss, so one ``backward()`` delivers last
-epoch's remote-neighbour gradients to their owners through the owners'
-*current* forward paths (the chain rule makes the injected upstream
-gradient exactly ``g_stale``).  This mirrors PipeGCN's
-stale-feature/stale-gradient pair up to the epoch-old activation path
-and keeps convergence close to synchronous even on boundary-heavy
-graphs — dropping remote gradients outright (the naive alternative)
-loses tens of accuracy points on the dense Reddit analogue.
+* the block gathered for ``U_i`` at layer ℓ is the owners' layer-ℓ
+  input of epoch ``t-1`` (staleness 1), a constant on the tape; epoch 0
+  gathers fresh values, like PipeGCN's warm-up iteration.  The same
+  bytes travel either way — staleness changes *when* traffic moves,
+  not how much — so the Eq. 3 metering is untouched and the modelled
+  epoch time simply sets ``overlap_communication``;
+* stale gradients are applied through a *ghost-loss* construction:
+  each epoch harvests the tape's gradients with respect to the gathered
+  stale blocks, and the next epoch adds ``⟨stop_grad(g_stale),
+  h_current⟩`` terms to the objective, so one ``backward()`` delivers
+  last epoch's remote-neighbour gradients to their owners through the
+  owners' *current* forward paths (the chain rule makes the injected
+  upstream gradient exactly ``g_stale``).  This mirrors PipeGCN's
+  stale-feature/stale-gradient pair and keeps convergence close to
+  synchronous even on boundary-heavy graphs — dropping remote
+  gradients outright loses tens of accuracy points on the dense Reddit
+  analogue.
 """
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional
 
 import numpy as np
 
-from ..dist.cost_model import (
-    SECONDS_PER_SAMPLER_EDGE,
-    ClusterSpec,
-    epoch_time,
-    layer_flops,
-)
-from ..graph.graph import Graph
-from ..nn import functional as F
-from ..nn.optim import Optimizer
-from ..partition.types import PartitionResult
-from ..tensor import Tensor, concat_rows, gather_rows, relu
-from .sampler import BoundarySampler, plan_sampling_ops
+from ..tensor import Tensor, gather_rows
 from .trainer import DistributedTrainer
 
 __all__ = ["PipelinedTrainer"]
@@ -65,42 +50,24 @@ __all__ = ["PipelinedTrainer"]
 class PipelinedTrainer(DistributedTrainer):
     """Partition-parallel trainer with staleness-1 boundary features.
 
-    Drop-in replacement for :class:`DistributedTrainer`; the
-    constructor signature is identical.  ``history.modeled`` records
-    epoch breakdowns with ``overlap_communication=True`` so the
+    Drop-in replacement for :class:`DistributedTrainer` (identical
+    constructor) that replaces two steps of its epoch body: the
+    boundary block a consumer stacks is the owner's *previous-epoch*
+    layer input, and the objective carries the ghost-loss terms that
+    deliver last epoch's boundary gradients.  Sampling, metering and
+    bookkeeping are inherited — the bytes are the same, they just
+    travel during the previous epoch's compute — and
+    ``history.modeled`` records ``overlap_communication=True`` so the
     benchmark harness shows the pipelining speedup next to the
     synchronous baseline.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        partition: PartitionResult,
-        model,
-        sampler: Optional[BoundarySampler] = None,
-        lr: float = 0.01,
-        seed: int = 0,
-        cluster: Optional[ClusterSpec] = None,
-        optimizer: Optional[Optimizer] = None,
-        aggregation: str = "mean",
-        transport=None,
-        dtype=None,
-        kernel_backend=None,
-    ) -> None:
-        super().__init__(
-            graph, partition, model, sampler, lr, seed, cluster, optimizer,
-            aggregation, transport, dtype, kernel_backend,
-        )
-        # _stale[layer][rank]: that rank's input features to `layer` as
-        # of the previous epoch (None until the warm-up epoch fills it).
-        self._stale: List[Optional[List[np.ndarray]]] = [
-            None for _ in self.model.layers
-        ]
-        # Stale-gradient records harvested from the previous epoch:
-        # (layer, owner, owner_rows, grad) — delivered to the owner via
-        # ghost-loss terms in the next epoch.
-        self._stale_grads: List[tuple] = []
+    overlap_communication = True
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.epochs_run = 0
+        self.reset_pipeline()
 
     # ------------------------------------------------------------------
     @property
@@ -110,128 +77,56 @@ class PipelinedTrainer(DistributedTrainer):
 
     def reset_pipeline(self) -> None:
         """Drop the stale caches; the next epoch re-warms synchronously."""
-        self._stale = [None for _ in self.model.layers]
-        self._stale_grads = []
+        # _stale[layer][rank]: that rank's input features to `layer` as
+        # of the previous epoch (None until the warm-up epoch fills it).
+        self._stale: List[Optional[List[np.ndarray]]] = [
+            None for _ in self.model.layers
+        ]
+        # Stale-gradient records harvested from the previous epoch:
+        # (layer, owner, owner_rows, grad) — delivered to the owner via
+        # ghost-loss terms in the next epoch.
+        self._stale_grads: List[tuple] = []
+        # Within an epoch: the stale blocks gathered so far (their .grad
+        # after backward becomes next epoch's stale-gradient records)
+        # and the ghost-loss terms delivering LAST epoch's gradients.
+        self._gathered: List[tuple] = []
+        self._ghost: Optional[Tensor] = None
 
     # ------------------------------------------------------------------
-    def _train_epoch(self) -> float:
-        """One pipelined iteration (runs under the trainer's kernel
-        backend via :meth:`DistributedTrainer.train_epoch`).
-
-        Identical to Algorithm 1 except that the layer-ℓ boundary
-        gather for epoch ``t`` reads the owners' layer-ℓ inputs of
-        epoch ``t-1`` (constants on the tape).  The traffic is metered
-        exactly as the synchronous trainer meters it — the bytes are
-        the same, they just travel during the previous epoch's compute.
-        """
-        self.model.train()
-        self.comm.reset()
-        m = self.num_parts
-        ranks = self.runtime.ranks
-        dims = self.model.dims
-
-        plans = [
-            self.sampler.plan(r, self.sample_rngs[i]) for i, r in enumerate(ranks)
-        ]
-        sampling_seconds = sum(pl.sampling_seconds for pl in plans)
-        sampling_ops = sum(
-            plan_sampling_ops(r, pl)
-            for r, pl in zip(ranks, plans)
-            if pl.sampling_seconds > 0.0
-        )
-        modeled_sampling = sampling_ops * SECONDS_PER_SAMPLER_EDGE
-        for i, pl in enumerate(plans):
-            self.comm.broadcast(i, len(pl.kept_positions), "sample_sync")
-
-        h_ranks = [Tensor(x) for x in self._features]
-        flops = np.zeros(m)
-        # Gathered stale blocks of THIS epoch; their .grad after
-        # backward becomes next epoch's stale-gradient records.
-        gathered: List[tuple] = []
-        # Ghost-loss terms delivering LAST epoch's boundary gradients.
-        ghost = None
-        stale_grads = self._stale_grads
-        for layer_idx, layer in enumerate(self.model.layers):
-            d_in = dims[layer_idx]
-            d_out = dims[layer_idx + 1]
-            # Snapshot this epoch's layer inputs; they become the stale
-            # values served to neighbours next epoch.
-            current = [h.numpy() for h in h_ranks]
-            stale = self._stale[layer_idx]
-            source = current if stale is None else stale
-            # Deliver last epoch's remote-neighbour gradients to their
-            # owners through the owners' current layer inputs:
-            # d/dh <stop_grad(g), h[rows]> injects exactly g.
-            for rec_layer, owner, rows, grad in stale_grads:
-                if rec_layer != layer_idx:
-                    continue
-                term = (Tensor(grad) * gather_rows(h_ranks[owner], rows)).sum()
-                ghost = term if ghost is None else ghost + term
-            new_h = []
-            for i, r in enumerate(ranks):
-                pl = plans[i]
-                parts = [h_ranks[i]]
-                for owner, _pos, owner_rows in r.boundary_groups(pl.kept_positions):
-                    block = Tensor(source[owner][owner_rows], requires_grad=True)
-                    gathered.append((layer_idx, owner, owner_rows, block))
-                    parts.append(block)
-                    self.comm.send(owner, i, len(owner_rows) * d_in, "forward")
-                    self.comm.send(i, owner, len(owner_rows) * d_in, "backward")
-                h_all = concat_rows(parts) if len(parts) > 1 else parts[0]
-                h_all = self.model.dropout(h_all, self.dropout_rng)
-                h_self = h_all[0:r.n_inner]
-                out = layer(pl.prop, h_all, h_self)
-                if layer_idx < len(self.model.layers) - 1:
-                    out = relu(out)
-                new_h.append(out)
-                flops[i] += layer_flops(pl.prop.nnz, r.n_inner, d_in, d_out)
-            self._stale[layer_idx] = current
-            h_ranks = new_h
-
-        total = None
-        for i, r in enumerate(ranks):
-            if r.train_local.size == 0:
+    def _boundary_source(self, layer_idx, h_ranks):
+        """The layer-ℓ boundary gather of epoch ``t`` reads the owners'
+        layer-ℓ inputs of epoch ``t-1`` (constants on the tape); the
+        warm-up epoch reads the current ones."""
+        # Snapshot this epoch's layer inputs; they become the stale
+        # values served to neighbours next epoch.
+        current = [h.numpy() for h in h_ranks]
+        stale = self._stale[layer_idx]
+        source = current if stale is None else stale
+        self._stale[layer_idx] = current
+        # Deliver last epoch's remote-neighbour gradients to their
+        # owners through the owners' current layer inputs:
+        # d/dh <stop_grad(g), h[rows]> injects exactly g.
+        for rec_layer, owner, rows, grad in self._stale_grads:
+            if rec_layer != layer_idx:
                 continue
-            logits = gather_rows(h_ranks[i], r.train_local)
-            labels = r.labels[r.train_local]
-            if self.graph.multilabel:
-                part_loss = F.bce_with_logits(logits, labels, reduction="sum")
-            else:
-                part_loss = F.cross_entropy(logits, labels, reduction="sum")
-            total = part_loss if total is None else total + part_loss
-        if total is None:
-            raise RuntimeError("no training nodes in any partition")
-        denom = self.runtime.total_train * (
-            self.graph.labels.shape[1] if self.graph.multilabel else 1
-        )
-        loss = total * (1.0 / denom)
-        objective = loss if ghost is None else loss + ghost
-        self.optimizer.zero_grad()
-        objective.backward()
+            term = (Tensor(grad) * gather_rows(h_ranks[owner], rows)).sum()
+            self._ghost = term if self._ghost is None else self._ghost + term
 
+        def fetch(owner, rows):
+            block = Tensor(source[owner][rows], requires_grad=True)
+            self._gathered.append((layer_idx, owner, rows, block))
+            return block
+
+        return fetch
+
+    def _backward(self, loss):
+        ghost, gathered = self._ghost, self._gathered
+        self._ghost, self._gathered = None, []
+        (loss if ghost is None else loss + ghost).backward()
         # Harvest this epoch's boundary gradients for the next epoch.
         self._stale_grads = [
             (layer_idx, owner, rows, block.grad.copy())
             for layer_idx, owner, rows, block in gathered
             if block.grad is not None
         ]
-
-        p2p_bytes = self.comm.pairwise.copy()
-        self.comm.allreduce(self.model.num_parameters(), "reduce")
-        self.optimizer.step()
         self.epochs_run += 1
-
-        self.history.loss.append(loss.item())
-        self.history.comm_bytes.append(self.comm.total_bytes())
-        self.history.sampling_seconds.append(sampling_seconds)
-        if self.cluster is not None:
-            breakdown = epoch_time(
-                per_rank_flops=flops,
-                pairwise_comm_bytes=p2p_bytes,
-                model_bytes=self.model.num_parameters() * self.comm.bytes_per_scalar,
-                cluster=self.cluster,
-                sampling_seconds=modeled_sampling,
-            )
-            breakdown.overlap_communication = True
-            self.history.modeled.append(breakdown)
-        return loss.item()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,20 +42,13 @@ from ..dist.cost_model import (
 )
 from ..graph.graph import Graph
 from ..nn import functional as F
-from ..nn.metrics import accuracy, f1_micro_multilabel
+from ..nn.metrics import evaluate_full_graph
 from ..nn.module import resolve_model_dtype
 from ..nn.optim import Adam, Optimizer
 from ..partition.types import PartitionResult
-from ..tensor import (
-    Tensor,
-    concat_rows,
-    gather_rows,
-    no_grad,
-    relu,
-    use_backend,
-)
-from .bns import PartitionRuntime
-from .sampler import BoundarySampler, FullBoundarySampler, plan_sampling_ops
+from ..tensor import Tensor, concat_rows, gather_rows, relu, use_backend
+from .bns import PartitionRuntime, RankData, derive_seeds
+from .sampler import BoundarySampler, EpochPlan, FullBoundarySampler, plan_sampling_ops
 
 __all__ = ["TrainHistory", "DistributedTrainer", "BNSTrainer"]
 
@@ -126,6 +119,10 @@ class DistributedTrainer:
         (``REPRO_KERNEL_BACKEND``).
     """
 
+    #: Whether the modelled epoch hides boundary traffic behind compute
+    #: (``EpochBreakdown.overlap_communication``); blocking exchanges don't.
+    overlap_communication = False
+
     def __init__(
         self,
         graph: Graph,
@@ -157,12 +154,11 @@ class DistributedTrainer:
         self.optimizer = optimizer or Adam(model.parameters(), lr=lr)
         # Independent sampling stream per rank (Algorithm 1 samples
         # locally and independently), plus one stream for dropout.
-        root = np.random.default_rng(seed)
-        self.sample_rngs = [
-            np.random.default_rng(s) for s in root.integers(0, 2**63 - 1, partition.num_parts)
-        ]
-        self.dropout_rng = np.random.default_rng(root.integers(0, 2**63 - 1))
+        sample_seeds, dropout_seed = derive_seeds(seed, partition.num_parts)
+        self.sample_rngs = [np.random.default_rng(s) for s in sample_seeds]
+        self.dropout_rng = np.random.default_rng(dropout_seed)
         self.history = TrainHistory()
+        self._loss_denom = F.loss_denominator(graph)
         self._features = [
             np.asarray(graph.features[r.inner], dtype=self.dtype)
             for r in self.runtime.ranks
@@ -173,32 +169,67 @@ class DistributedTrainer:
     def num_parts(self) -> int:
         return self.runtime.num_parts
 
-    def _metric(self, logits: np.ndarray, labels: np.ndarray) -> float:
-        if self.graph.multilabel:
-            return f1_micro_multilabel(logits, labels)
-        return accuracy(logits, labels)
+    # ------------------------------------------------------------------
+    # The five steps of the epoch body a subclass may replace (the
+    # pipelined trainer: b, d; the GAT trainer: a, c, e).  Everything
+    # else — metering call sites, RNG order, loss reduction, AllReduce,
+    # bookkeeping — is the same for every in-process trainer.
+    def _draw_plan(self, rank: RankData) -> EpochPlan:
+        """(a) Lines 4-5: rank ``rank.rank``'s sampling decision."""
+        return self.sampler.plan(rank, self.sample_rngs[rank.rank])
+
+    def _boundary_source(
+        self, layer_idx: int, h_ranks: List[Tensor]
+    ) -> Callable[[int, np.ndarray], Tensor]:
+        """(b) Called once per layer with every rank's layer input;
+        returns ``fetch(owner, rows)``, the block of ``owner``'s rows a
+        consumer stacks under its own — here a differentiable gather,
+        so backward returns the boundary gradients the same way."""
+        return lambda owner, rows: gather_rows(h_ranks[owner], rows)
+
+    def _apply_layer(
+        self, layer_idx: int, rank: RankData, plan: EpochPlan, h_all: Tensor
+    ) -> Tuple[Tensor, float]:
+        """(c) Layer ``layer_idx`` on ``[H_i ; H_{U_i}]`` (pre-activation)
+        and the forward+backward FLOPs it is priced at."""
+        dims = self.model.dims
+        out = self.model.layers[layer_idx](plan.prop, h_all, h_all[0:rank.n_inner])
+        return out, layer_flops(
+            plan.prop.nnz, rank.n_inner, dims[layer_idx], dims[layer_idx + 1]
+        )
+
+    def _backward(self, loss: Tensor) -> None:
+        """(d) Differentiate the objective; harvest what the next epoch needs."""
+        loss.backward()
+
+    def _full_logits(self, features: Tensor) -> Tensor:
+        """(e) Unsampled full-graph forward used by :meth:`evaluate`."""
+        return self.model.full_forward(self.runtime.full_prop, features, self.dropout_rng)
 
     # ------------------------------------------------------------------
     def train_epoch(self) -> float:
         """One iteration of Algorithm 1's outer loop; returns the loss.
 
         The whole epoch body (forward SpMMs and the backward through
-        the tape) runs under this trainer's kernel backend.
+        the tape) runs under this trainer's kernel backend, and its
+        wall time lands in ``history.wall_seconds``.
         """
+        t0 = time.perf_counter()
         with use_backend(self.kernel_backend):
-            return self._train_epoch()
+            loss = self._train_epoch()
+        self.history.wall_seconds.append(time.perf_counter() - t0)
+        return loss
 
     def _train_epoch(self) -> float:
         self.model.train()
         self.comm.reset()
-        m = self.num_parts
         ranks = self.runtime.ranks
         dims = self.model.dims
+        last = len(self.model.layers) - 1
+        multilabel = self.graph.multilabel
 
         # --- lines 4-7: sample, broadcast selections ------------------
-        plans = [
-            self.sampler.plan(r, self.sample_rngs[i]) for i, r in enumerate(ranks)
-        ]
+        plans = [self._draw_plan(r) for r in ranks]
         sampling_seconds = sum(pl.sampling_seconds for pl in plans)
         # Modelled (device-scale) sampling cost for the epoch-time
         # breakdown: proportional to the elements the sampler touches
@@ -209,34 +240,30 @@ class DistributedTrainer:
             for r, pl in zip(ranks, plans)
             if pl.sampling_seconds > 0.0
         )
-        modeled_sampling = sampling_ops * SECONDS_PER_SAMPLER_EDGE
         for i, pl in enumerate(plans):
             # Index broadcast: |U_i| int32 ids to every other rank.
             self.comm.broadcast(i, len(pl.kept_positions), "sample_sync")
 
         # --- lines 8-11: layered forward with exchanges ---------------
         h_ranks = [Tensor(x) for x in self._features]
-        flops = np.zeros(m)
-        for layer_idx, layer in enumerate(self.model.layers):
+        flops = np.zeros(self.num_parts)
+        for layer_idx in range(last + 1):
             d_in = dims[layer_idx]
-            d_out = dims[layer_idx + 1]
+            fetch = self._boundary_source(layer_idx, h_ranks)
             new_h = []
             for i, r in enumerate(ranks):
                 pl = plans[i]
                 parts = [h_ranks[i]]
                 for owner, _pos, owner_rows in r.boundary_groups(pl.kept_positions):
-                    parts.append(gather_rows(h_ranks[owner], owner_rows))
+                    parts.append(fetch(owner, owner_rows))
                     # features now, gradients on the way back
                     self.comm.send(owner, i, len(owner_rows) * d_in, "forward")
                     self.comm.send(i, owner, len(owner_rows) * d_in, "backward")
                 h_all = concat_rows(parts) if len(parts) > 1 else parts[0]
                 h_all = self.model.dropout(h_all, self.dropout_rng)
-                h_self = h_all[0:r.n_inner]
-                out = layer(pl.prop, h_all, h_self)
-                if layer_idx < len(self.model.layers) - 1:
-                    out = relu(out)
-                new_h.append(out)
-                flops[i] += layer_flops(pl.prop.nnz, r.n_inner, d_in, d_out)
+                out, layer_cost = self._apply_layer(layer_idx, r, pl, h_all)
+                new_h.append(relu(out) if layer_idx < last else out)
+                flops[i] += layer_cost
             h_ranks = new_h
 
         # --- lines 12-13: loss and backward ----------------------------
@@ -245,20 +272,15 @@ class DistributedTrainer:
             if r.train_local.size == 0:
                 continue
             logits = gather_rows(h_ranks[i], r.train_local)
-            labels = r.labels[r.train_local]
-            if self.graph.multilabel:
-                part_loss = F.bce_with_logits(logits, labels, reduction="sum")
-            else:
-                part_loss = F.cross_entropy(logits, labels, reduction="sum")
+            part_loss = F.task_loss(
+                logits, r.labels[r.train_local], multilabel, reduction="sum"
+            )
             total = part_loss if total is None else total + part_loss
         if total is None:
             raise RuntimeError("no training nodes in any partition")
-        denom = self.runtime.total_train * (
-            self.graph.labels.shape[1] if self.graph.multilabel else 1
-        )
-        loss = total * (1.0 / denom)
+        loss = total * (1.0 / self._loss_denom)
         self.optimizer.zero_grad()
-        loss.backward()
+        self._backward(loss)
 
         # --- lines 14-15: AllReduce + update ---------------------------
         # Snapshot point-to-point traffic first: the collective is
@@ -277,28 +299,16 @@ class DistributedTrainer:
                 pairwise_comm_bytes=p2p_bytes,
                 model_bytes=self.model.num_parameters() * self.comm.bytes_per_scalar,
                 cluster=self.cluster,
-                sampling_seconds=modeled_sampling,
+                sampling_seconds=sampling_ops * SECONDS_PER_SAMPLER_EDGE,
             )
+            breakdown.overlap_communication = self.overlap_communication
             self.history.modeled.append(breakdown)
         return loss.item()
 
     # ------------------------------------------------------------------
     def evaluate(self) -> Dict[str, float]:
         """Full-graph evaluation (standard protocol: no sampling)."""
-        self.model.eval()
-        with no_grad():
-            logits = self.model.full_forward(
-                self.runtime.full_prop,
-                Tensor(self.graph.features, dtype=self.dtype),
-                self.dropout_rng,
-            ).numpy()
-        self.model.train()
-        g = self.graph
-        return {
-            "train": self._metric(logits[g.train_mask], g.labels[g.train_mask]),
-            "val": self._metric(logits[g.val_mask], g.labels[g.val_mask]),
-            "test": self._metric(logits[g.test_mask], g.labels[g.test_mask]),
-        }
+        return evaluate_full_graph(self.model, self.graph, self._full_logits)
 
     # ------------------------------------------------------------------
     def train(
@@ -331,9 +341,7 @@ class DistributedTrainer:
         best_val = -float("inf")
         bad_evals = 0
         for epoch in range(epochs):
-            t0 = time.perf_counter()
             loss = self.train_epoch()
-            self.history.wall_seconds.append(time.perf_counter() - t0)
             if scheduler is not None and not plateau:
                 scheduler.step()
             if eval_every and (epoch % eval_every == eval_every - 1 or epoch == epochs - 1):

@@ -74,17 +74,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis import sanitizer as lock_sanitizer
-from ..core.bns import PartitionRuntime, RankData
+from ..core.bns import PartitionRuntime, RankData, derive_seeds
 from ..core.sampler import BoundarySampler, FullBoundarySampler
 from ..core.trainer import TrainHistory
 from ..graph.graph import Graph
 from ..nn import functional as F
-from ..nn.metrics import accuracy, f1_micro_multilabel
+from ..nn.metrics import evaluate_full_graph
 from ..nn.models import GCNModel, GraphSAGEModel
 from ..nn.module import resolve_model_dtype
 from ..nn.optim import Adam
 from ..partition.types import PartitionResult
-from ..tensor import Tensor, concat_rows, gather_rows, no_grad, relu, use_backend
+from ..tensor import Tensor, concat_rows, gather_rows, relu, use_backend
 from .cost_model import layer_flops
 from .transport import Endpoint, resolve_transport
 
@@ -285,10 +285,7 @@ class _RankLoop:
             return None
         logits = gather_rows(segments[-1][2], rank_data.train_local)
         labels = rank_data.labels[rank_data.train_local]
-        if task.multilabel:
-            part = F.bce_with_logits(logits, labels, reduction="sum")
-        else:
-            part = F.cross_entropy(logits, labels, reduction="sum")
+        part = F.task_loss(logits, labels, task.multilabel, reduction="sum")
         return part * (1.0 / task.loss_denom)
 
     def segment_grads(self, leaves, d_in):
@@ -615,11 +612,9 @@ class ProcessRankExecutor:
             "multiprocess" if transport is None else transport,
             m, dtype=self.dtype, recv_timeout=timeout,
         ))
-        # Mirror DistributedTrainer's RNG derivation exactly so seeded
-        # runs draw identical boundary samples.
-        root = np.random.default_rng(seed)
-        self._sample_seeds = [int(s) for s in root.integers(0, 2**63 - 1, m)]
-        self._dropout_base = int(root.integers(0, 2**63 - 1))
+        # The in-process trainers' derivation, so seeded runs draw
+        # identical boundary samples.
+        self._sample_seeds, self._dropout_base = derive_seeds(seed, m)
         self.result: Optional[DistTrainResult] = None
 
     # ------------------------------------------------------------------
@@ -628,9 +623,7 @@ class ProcessRankExecutor:
         return self.runtime.num_parts
 
     def _tasks(self, epochs: int) -> List[_RankTask]:
-        denom = self.runtime.total_train * (
-            self.graph.labels.shape[1] if self.graph.multilabel else 1
-        )
+        denom = F.loss_denominator(self.graph)
         state = self.model.state_dict()
         return [
             _RankTask(
@@ -729,24 +722,8 @@ class ProcessRankExecutor:
     # ------------------------------------------------------------------
     def evaluate(self) -> Dict[str, float]:
         """Full-graph evaluation of the (synchronised) final replica."""
-        self.model.eval()
         rng = np.random.default_rng(0)
-        with no_grad():
-            logits = self.model.full_forward(
-                self.runtime.full_prop,
-                Tensor(self.graph.features, dtype=self.dtype),
-                rng,
-            ).numpy()
-        self.model.train()
-        g = self.graph
-
-        def metric(mask):
-            if g.multilabel:
-                return f1_micro_multilabel(logits[mask], g.labels[mask])
-            return accuracy(logits[mask], g.labels[mask])
-
-        return {
-            "train": metric(g.train_mask),
-            "val": metric(g.val_mask),
-            "test": metric(g.test_mask),
-        }
+        return evaluate_full_graph(
+            self.model, self.graph,
+            lambda x: self.model.full_forward(self.runtime.full_prop, x, rng),
+        )

@@ -7,7 +7,14 @@ import numpy as np
 from ..tensor import Tensor, as_tensor, log_softmax
 from ..tensor import ops as T
 
-__all__ = ["cross_entropy", "nll_loss", "bce_with_logits", "masked_rows"]
+__all__ = [
+    "cross_entropy",
+    "nll_loss",
+    "bce_with_logits",
+    "masked_rows",
+    "task_loss",
+    "loss_denominator",
+]
 
 
 def cross_entropy(
@@ -60,6 +67,25 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray, reduction: str = "mean"
 
     loss = Tensor._make(out_data, (logits,), "bce_with_logits", backward)
     return _reduce(loss, reduction)
+
+
+def task_loss(
+    logits: Tensor, labels: np.ndarray, multilabel: bool, reduction: str = "mean"
+) -> Tensor:
+    """The training loss of the node-classification task head: BCE with
+    logits on the multilabel (Yelp-style) task, softmax cross-entropy
+    otherwise.  Every trainer picks its loss here."""
+    loss_fn = bce_with_logits if multilabel else cross_entropy
+    return loss_fn(logits, labels, reduction=reduction)
+
+
+def loss_denominator(graph) -> int:
+    """What the ``reduction="sum"`` task losses of all ranks add up to
+    before dividing to the ``"mean"`` one: the training-node count,
+    times the label count on the multilabel task (BCE averages over
+    every (node, label) pair)."""
+    per_node = graph.labels.shape[1] if graph.multilabel else 1
+    return int(graph.train_mask.sum()) * per_node
 
 
 def masked_rows(x: Tensor, mask: np.ndarray) -> Tensor:

@@ -9,9 +9,16 @@ paper's headline numbers.
 
 from __future__ import annotations
 
+from typing import Callable, Dict
+
 import numpy as np
 
+from ..tensor import Tensor, no_grad
+from .module import module_dtype
+
 __all__ = [
+    "task_metric",
+    "evaluate_full_graph",
     "accuracy",
     "f1_micro_multilabel",
     "f1_macro_multilabel",
@@ -51,6 +58,36 @@ def f1_micro_multilabel(logits: np.ndarray, targets: np.ndarray, threshold: floa
     if denom == 0:
         return 0.0
     return float(2 * tp / denom)
+
+
+def task_metric(logits: np.ndarray, labels: np.ndarray, multilabel: bool) -> float:
+    """The headline metric of the task head: micro-F1 on the multilabel
+    task, top-1 accuracy otherwise."""
+    if multilabel:
+        return f1_micro_multilabel(logits, labels)
+    return accuracy(logits, labels)
+
+
+def evaluate_full_graph(
+    model, graph, forward: Callable[[Tensor], Tensor]
+) -> Dict[str, float]:
+    """The evaluation protocol every trainer shares: unsampled
+    full-graph inference in eval mode with no tape, scored per split.
+
+    ``forward`` maps the full feature matrix — handed over in the
+    *model's* dtype, so an fp32 model is never fed fp64 features — to
+    logits; the model is back in train mode on return.
+    """
+    model.eval()
+    with no_grad():
+        features = Tensor(graph.features, dtype=module_dtype(model))
+        logits = forward(features).numpy()
+    model.train()
+    splits = {"train": graph.train_mask, "val": graph.val_mask, "test": graph.test_mask}
+    return {
+        split: task_metric(logits[mask], graph.labels[mask], graph.multilabel)
+        for split, mask in splits.items()
+    }
 
 
 def f1_macro_multilabel(

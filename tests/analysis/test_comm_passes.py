@@ -89,7 +89,7 @@ def test_default_entries_actually_verified():
     for name in (
         "run-rank-synchronous", "run-rank-pipelined",
         "allreduce-ring", "allreduce-tree",
-        "trainer-synchronous", "trainer-pipelined",
+        "trainer-synchronous", "trainer-pipelined", "trainer-gat",
     ):
         assert name in info, sorted(info)
         entry = info[name]

@@ -215,3 +215,33 @@ class TestVRGCN:
         batch = np.flatnonzero(small_graph.train_mask)[:64]
         t.train_step(batch)
         assert not np.allclose(t._history[1][batch], before[batch])
+
+
+class TestEvaluateDtype:
+    """evaluate() runs in the model's dtype, whatever the library default."""
+
+    @pytest.mark.parametrize("trainer_cls", [
+        FullGraphTrainer, NeighborSamplingTrainer,
+    ])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_eval_logits_follow_model_dtype(
+        self, small_graph, monkeypatch, trainer_cls, dtype
+    ):
+        g = small_graph
+        model = GraphSAGEModel(
+            g.feature_dim, 8, g.num_classes, 2, 0.0,
+            np.random.default_rng(0), dtype=dtype,
+        )
+        trainer = trainer_cls(g, model)
+        seen = []
+        full_forward = model.full_forward
+
+        def spy(*args):
+            out = full_forward(*args)
+            seen.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(model, "full_forward", spy)
+        scores = trainer.evaluate()
+        assert set(scores) == {"train", "val", "test"}
+        assert seen == [np.dtype(dtype)]

@@ -36,6 +36,34 @@ class TestEndToEnd:
         assert main(SMALL + ["--pipelined", "--model", "gat"]) == 2
         assert "not supported" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--sampler", "importance"], ["--sampler", "bes"],
+        ["--mode", "scale"], ["--p-min", "0.05"],
+    ])
+    def test_gat_rejects_options_it_cannot_honour(self, capsys, flags):
+        assert main(SMALL + ["--model", "gat"] + flags) == 2
+        err = capsys.readouterr().err
+        assert flags[0] in err and "not supported" in err
+
+    def test_gat_honours_patience(self, capsys):
+        # A vanishing lr freezes the model, so the second evaluation
+        # cannot improve on the first and patience 1 stops the run there.
+        argv = [
+            "--scale", "0.05", "--n-partitions", "2", "--n-hidden", "8",
+            "--model", "gat", "--n-epochs", "6", "--eval-every", "1",
+            "--patience", "1", "--lr", "1e-12",
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "epoch    1" in out and "epoch    2" not in out
+
+    def test_gat_honours_lr_schedule_and_kernel_backend(self, capsys):
+        argv = SMALL + ["--model", "gat", "--lr-schedule", "cosine",
+                        "--kernel-backend", "split"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "kernel backend" in out and "split" in out
+
     def test_spectral_partition(self, capsys):
         assert main(SMALL + ["--partition-method", "spectral"]) == 0
 
