@@ -14,17 +14,11 @@ Submodules:
   and exception-safety passes (close/unlink/release on every path).
 * :mod:`repro.analysis.typestate` — protocol state tables (data) and
   the flow-sensitive typestate pass over them.
-* :mod:`repro.analysis.summaries` — call graph + interprocedural
-  per-function communication-effect summaries (the abstract
-  interpreter the comm passes run on).
-* :mod:`repro.analysis.commgraph` — composes summaries into symbolic
-  per-rank sequences and simulates them at world sizes 2–4.
-* :mod:`repro.analysis.commcheck` — the ``comm-matching`` /
-  ``comm-deadlock`` / ``comm-exchange`` passes over that analysis.
 * :mod:`repro.analysis.sanitizer` — opt-in runtime checkers: lock
   order (``REPRO_SANITIZE=locks``), protocol typestate proxies
-  (``REPRO_SANITIZE=protocol``) and the schedule-exploration
-  deadlock detector (``REPRO_SANITIZE=schedule``).
+  (``REPRO_SANITIZE=protocol``) and the schedule explorer
+  (``REPRO_SANITIZE=schedule``) — the repo's one checker for
+  cross-rank message matching, deadlock and leaked exchange handles.
 * :mod:`repro.analysis.lint` — the ``repro lint`` CLI.
 """
 
@@ -52,8 +46,6 @@ from .engine import (
     run_passes,
     save_baseline,
 )
-from .commcheck import analyze_modules, discover_entries
-from .commgraph import CommFinding, EntrySpec, analyze_entry
 from .lint import run_lint
 from .sanitizer import (
     DeadlockError,
@@ -71,24 +63,18 @@ from .sanitizer import (
     schedule_enabled,
     wrap_protocol,
 )
-from .summaries import CommEvent, CommInterpreter, ProgramIndex, direct_comm_ops
 from .typestate import PROTOCOLS, Protocol, protocol_for_class
 
 __all__ = [
     "CFG",
     "CFGError",
     "CFGNode",
-    "CommEvent",
-    "CommFinding",
-    "CommInterpreter",
     "DeadlockError",
     "Diagnostic",
-    "EntrySpec",
     "FlowPass",
     "LintPass",
     "LockOrderError",
     "PROTOCOLS",
-    "ProgramIndex",
     "Protocol",
     "ProtocolError",
     "SanitizedLock",
@@ -97,14 +83,10 @@ __all__ = [
     "SolverDivergence",
     "SourceModule",
     "TypestateProxy",
-    "analyze_entry",
-    "analyze_modules",
     "baseline_keys",
     "build_cfg",
     "collect_modules",
     "diff_against_baseline",
-    "direct_comm_ops",
-    "discover_entries",
     "function_cfgs",
     "get_passes",
     "install_protocol_sanitizer",

@@ -311,7 +311,6 @@ def _ensure_builtin_passes() -> None:
     """Import the built-in pass modules (they self-register on import,
     like the kernel backends do)."""
     from . import (  # noqa: F401
-        commcheck,
         concurrency,
         lifecycle,
         passes,

@@ -12,7 +12,9 @@ Usage (via the top-level CLI)::
     repro lint --paths src,benchmarks  # same as positional targets
 
 Exit codes: 0 clean (or all findings baselined), 1 new findings (or,
-under ``--strict``, stale baseline entries), 2 usage/parse errors.
+under ``--strict``, stale baseline entries), 2 usage/parse errors —
+including a named target (positional or ``--paths``) that does not
+exist, so a mistyped CI path cannot pass green by linting nothing.
 """
 
 from __future__ import annotations
@@ -223,7 +225,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     targets = list(args.targets or ())
     if args.paths:
         targets += [p.strip() for p in args.paths.split(",") if p.strip()]
-    if not targets:
+    if targets:
+        missing = [t for t in targets if not (root / t).exists()]
+        if missing:
+            print(f"repro lint: error: no such target under {root}: "
+                  + ", ".join(missing), file=sys.stderr)
+            return 2
+    else:
         targets = list(DEFAULT_TARGETS)
     select = None
     if args.select:
@@ -260,6 +268,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     baseline = set() if args.no_baseline else load_baseline(baseline_path)
     diff = diff_against_baseline(findings, baseline)
+    failed = bool(diff.new) or (args.strict and bool(diff.stale))
 
     if args.format == "sarif":
         print(json.dumps(_sarif_payload(diff, get_passes(select)),
@@ -273,7 +282,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         if diff.stale:
             summary += f", {len(diff.stale)} stale baseline entrie(s)"
-        print(("FAIL: " if diff.new else "OK: ") + summary)
+        print(("FAIL: " if failed else "OK: ") + summary)
     elif args.format == "json":
         payload = {
             "root": str(root),
@@ -300,13 +309,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"{len(modules)} file(s) checked, "
             f"{len(diff.new)} new finding(s)"
         )
-        print(("FAIL: " if diff.new else "OK: ") + summary)
+        print(("FAIL: " if failed else "OK: ") + summary)
 
-    if diff.new:
-        return 1
-    if args.strict and diff.stale:
-        return 1
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -32,18 +32,20 @@ use :func:`reset` to clear the global graph between cases and
 :func:`install_sanitizer`/:func:`locks_enabled` to force the mode
 without touching the environment.
 
-The ``schedule`` token enables the third sanitizer in this module: the
-runtime mirror of the static ``comm-deadlock`` / ``comm-exchange``
-passes.  :func:`begin_schedule_exploration` gives ``LocalTransport`` a
-:class:`ScheduleExplorer` whose channels use *rendezvous* semantics —
-a send does not complete until its receive happens, exactly the
-MPI-strict model the static simulator composes — plus a deterministic,
-seed-driven jitter at every blocking point so different
-``REPRO_SCHEDULE_SEED`` values explore different interleavings.  A
-confirmed cross-rank wait cycle (or a rank blocking on a peer that
-already returned) raises :class:`DeadlockError` with a replayable
-schedule trace instead of hanging; a rank that returns with a posted
-exchange handle it never completed raises :class:`ScheduleError`.
+The ``schedule`` token enables the third sanitizer in this module, the
+repo's one checker for cross-rank communication: message matching,
+deadlock and leaked exchange handles.  :func:`begin_schedule_exploration`
+gives ``LocalTransport`` a :class:`ScheduleExplorer` whose channels use
+*rendezvous* semantics — a send does not complete until its receive
+happens (the MPI-strict model) — plus a deterministic, seed-driven
+jitter at every blocking point so different ``REPRO_SCHEDULE_SEED``
+values explore different interleavings.  A confirmed cross-rank wait
+cycle (or a rank blocking on a peer that already returned) raises
+:class:`DeadlockError` with a replayable schedule trace instead of
+hanging; a rank that returns with a posted exchange handle it never
+completed raises :class:`ScheduleError`; a tag mismatch still fails at
+delivery through the transport's own check, which the explorer's
+schedules reach.
 
 The ``protocol`` token enables the second sanitizer in this module:
 the runtime mirror of the static ``typestate`` pass.
@@ -581,10 +583,10 @@ class ScheduleExplorer:
 
     Rendezvous semantics: a channel ``put`` deposits its message
     immediately (the receiver can take it) but does not *return* until
-    the receiver consumed it — the MPI-strict model under which the
-    static ``comm-deadlock`` pass verified the code.  A program clean
-    under this explorer is clean under both buffered and unbuffered
-    transports.
+    the receiver consumed it — the MPI-strict model, under which a
+    send cycle that buffered queues would mask really deadlocks.  A
+    program clean under this explorer is clean under both buffered and
+    unbuffered transports.
     """
 
     def __init__(self, num_ranks: int, seed: int) -> None:

@@ -1,8 +1,7 @@
 """Seeded cross-rank-communication violation fixtures.
 
-Each module here is BOTH a static lint target (the ``comm-entry``
-markers declare its workers as entry points for the comm passes) and a
-runnable ``LocalTransport.launch`` worker (so the same bug is caught a
-second time, dynamically, under ``REPRO_SANITIZE=schedule``).  The
-``clean_twins`` module holds the matched negative controls.
+Each module here is a runnable ``LocalTransport.launch`` worker whose
+seeded bug ``REPRO_SANITIZE=schedule`` must catch
+(``tests/analysis/test_schedule_sanitizer.py``).  The ``clean_twins``
+module holds the matched negative controls.
 """

