@@ -205,11 +205,11 @@ def time_spmm_backends(runtime, p: float, reps: int, d: int = 64) -> dict:
     the stacked matmul — the two-pass split path's 25-40% gap is the
     thing this backend closes.
     """
-    from repro.tensor.kernels import available_backends, resolve_backend
+    from repro.tensor.kernels import backend_names, resolve_backend
 
     rank = max(runtime.ranks, key=lambda r: r.n_boundary)
     plan = BoundaryNodeSampler(p).plan(rank, np.random.default_rng(33))
-    out = {"d": d, "reps": reps, "backends": sorted(available_backends())}
+    out = {"d": d, "reps": reps, "backends": sorted(backend_names())}
     for label, dtype in (("fp64", np.float64), ("fp32", np.float32)):
         op = plan.prop.astype(dtype)
         h = np.random.default_rng(34).normal(
@@ -242,7 +242,7 @@ def time_spmm_backends(runtime, p: float, reps: int, d: int = 64) -> dict:
         ref_fwd = stacked @ h
         for name in out["backends"]:
             backend = resolve_backend(name)
-            backend.split_spmm_forward(op, h)  # warm (numba jit, caches)
+            backend.split_spmm_forward(op, h)  # warm the operator caches
             backend.split_spmm_backward(op, g)
             t0 = time.perf_counter()
             for _ in range(reps):
@@ -266,7 +266,7 @@ def time_spmm_backends(runtime, p: float, reps: int, d: int = 64) -> dict:
         msg = "  ".join(
             f"{name} {section[f'{name}_fwd_ms']:.3f}/"
             f"{section[f'{name}_bwd_ms']:.3f}"
-            for name in sorted(available_backends())
+            for name in out["backends"]
         )
         print(
             f"spmm backends [{label}] fwd/bwd ms: "

@@ -38,6 +38,7 @@ from .core.trainer import DistributedTrainer
 from .core.gat_trainer import DistributedGATTrainer
 from .core.pipeline import PipelinedTrainer
 from .dist.cost_model import RTX2080TI_CLUSTER
+from .dist.executor import SCHEDULES
 from .graph.datasets import DATASET_SPECS, load_dataset
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.models import GATModel, GCNModel, GraphSAGEModel
@@ -101,9 +102,7 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument(
         "--kernel-backend", default=None, choices=kernel_backend_names(),
         help="split-SpMM kernel implementation: numpy (fused one-pass, "
-             "the default), split (two-pass reference) or numba (jitted "
-             "fused traversal; needs the optional numba package).  "
-             "Defaults to the library default (REPRO_KERNEL_BACKEND env "
+             "the default) or split (two-pass reference).  Defaults to the library default (REPRO_KERNEL_BACKEND env "
              "var, else numpy); dist-train workers resolve the same "
              "backend rank-side",
     )
@@ -180,8 +179,7 @@ def build_dist_parser() -> argparse.ArgumentParser:
              "or threads over queues (local)",
     )
     parser.add_argument(
-        "--schedule", default="synchronous",
-        choices=("synchronous", "pipelined"),
+        "--schedule", default="synchronous", choices=SCHEDULES,
         help="rank execution schedule: synchronous blocks on every "
              "layer's boundary exchange; pipelined overlaps it with "
              "compute via staleness-1 features (PipeGCN-style) — same "
@@ -219,9 +217,9 @@ def dist_train_main(argv: Sequence[str]) -> int:
     if args.n_epochs < 1:
         parser.error(f"--n-epochs must be >= 1, got {args.n_epochs}")
     if args.kernel_backend:
-        # Fail fast on an unavailable backend, and make the choice the
-        # process default so every code path (including evaluation)
-        # runs the same kernels the workers will resolve rank-side.
+        # Make the choice the process default so every code path
+        # (including evaluation) runs the same kernels the workers will
+        # resolve rank-side.
         set_backend(args.kernel_backend)
     graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     if not args.quiet:
@@ -302,8 +300,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
     if args.kernel_backend:
         # One process-wide switch covers every trainer (the GAT trainer
-        # takes no backend argument and resolves this default) and
-        # fails fast when the backend is unavailable.
+        # takes no backend argument and resolves this default).
         set_backend(args.kernel_backend)
 
     graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)

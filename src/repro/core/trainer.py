@@ -113,10 +113,9 @@ class DistributedTrainer:
     kernel_backend:
         Split-SpMM kernel implementation
         (:mod:`repro.tensor.kernels`) the epoch bodies run under —
-        ``"numpy"`` (fused one-pass, the default), ``"split"``
-        (two-pass reference) or ``"numba"`` (jitted, optional import).
-        ``None`` resolves to the process default
-        (``REPRO_KERNEL_BACKEND``).
+        ``"numpy"`` (fused one-pass, the default) or ``"split"``
+        (two-pass reference).  ``None`` resolves to the process
+        default (``REPRO_KERNEL_BACKEND``).
     """
 
     #: Whether the modelled epoch hides boundary traffic behind compute

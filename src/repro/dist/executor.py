@@ -28,23 +28,27 @@ boundary-sampled training with real exchanges:
   every rank, so the per-rank Adam replicas stay in lockstep without
   any further synchronisation.
 
-Two schedules run on this substrate:
+One rank body, :meth:`_RankLoop.epoch`, runs both schedules.  Every
+exchange in it is a :meth:`~repro.dist.transport.Endpoint.post_exchange`
+followed by a ``complete_exchange``; the schedule only decides when two
+of them are posted or completed:
 
-* ``schedule="synchronous"`` (default) — every layer's exchange blocks
-  before the layer's compute, Algorithm 1 verbatim;
+* ``schedule="synchronous"`` (default) — staleness 0, Algorithm 1
+  verbatim: each layer exchanges its own input before computing, and
+  each segment's returned boundary gradients are completed and added
+  before the descent continues;
 * ``schedule="pipelined"`` — the PipeGCN-style staleness-1 execution
   of :class:`~repro.core.pipeline.PipelinedTrainer`, for real: after
   the kept-id sync, each rank posts *every* layer's boundary features
-  from its previous-epoch layer inputs
-  (:meth:`~repro.dist.transport.Endpoint.post_exchange`) and computes
-  while they travel; boundary gradients harvested this epoch ship
-  during the backward descent and are injected next epoch at the rows
-  served then — the distributed image of the simulated trainer's
-  ghost-loss construction.  Epoch 0 warms up synchronously, like
-  PipeGCN's first iteration.  The bytes are identical either way —
-  staleness changes *when* traffic moves, not how much — so the
-  per-tag ledgers match :class:`~repro.core.pipeline.PipelinedTrainer`
-  byte for byte.
+  from its previous-epoch layer inputs and computes while they travel;
+  the returned boundary gradients are drained after the descent and
+  injected next epoch at the rows served then — the distributed image
+  of the simulated trainer's ghost-loss construction.  Epoch 0 warms
+  up on the synchronous forward, like PipeGCN's first iteration.
+
+The bytes are identical either way — staleness changes *when* traffic
+moves, not how much — so the per-tag ledgers match the in-process
+trainers byte for byte.
 
 Every rank additionally records, per epoch, its wall seconds and the
 seconds it spent blocked inside ``recv`` (the transport's
@@ -222,7 +226,7 @@ def _resolve_requests(
 
 
 class _RankLoop:
-    """One rank's training state; the epoch bodies of both schedules."""
+    """One rank's training state and its epoch body."""
 
     def __init__(self, ep: Endpoint, task: _RankTask) -> None:
         self.ep = ep
@@ -237,13 +241,12 @@ class _RankLoop:
         self.n_inner = self.rank_data.n_inner
         self.dims = task.model_dims
         self.num_layers = len(self.model.layers)
-        # Pipelined (staleness-1) state: my layer inputs of the
-        # previous epoch (what neighbours consume this epoch), the rows
-        # I served then, and the boundary gradients peers returned for
-        # the rows *they* were served.
+        # Pipelined (staleness-1) state, never filled on the synchronous
+        # schedule: my layer inputs of the previous epoch (what
+        # neighbours consume this epoch) and the boundary gradients
+        # peers returned then, as (layer, rows I served, received).
         self._stale_x: List[Optional[np.ndarray]] = [None] * self.num_layers
-        self._prev_serve_rows: Dict[int, np.ndarray] = {}
-        self._stale_grad_in: List[Tuple[int, int, np.ndarray]] = []
+        self._returned: List[Tuple[int, Dict, Dict[int, np.ndarray]]] = []
 
     # -- shared epoch pieces -------------------------------------------
     def sample_and_sync(self):
@@ -324,29 +327,52 @@ class _RankLoop:
             for l in range(self.num_layers)
         )
 
-    # -- synchronous epoch (Algorithm 1 verbatim) ----------------------
-    def synchronous_epoch(self):
+    # -- the epoch (both schedules) ------------------------------------
+    def epoch(self):
+        """One epoch of Algorithm 1; ``task.schedule`` decides only
+        steps (i) and (ii) below.  Synchronous is staleness 0."""
         ep = self.ep
+        pipelined = self.task.schedule == "pipelined"
         plan, serve_rows, groups = self.sample_and_sync()
         expect_owners = [owner for owner, _pos, _rows in groups]
         serve_peers = [j for j, rows in serve_rows.items() if rows.size]
 
-        # Lines 8-11: layered forward, each exchange gating its layer.
+        def post_forward(x):
+            sends = {j: x[serve_rows[j]] for j in serve_peers}
+            return ep.post_exchange(sends, expect_owners, tag="forward")
+
+        # (i) Pipelined and warm: post every layer's boundary features
+        # from last epoch's layer inputs now, so they travel while this
+        # epoch's SpMMs run (the PipeGCN overlap).  Otherwise — the
+        # synchronous schedule, or the pipelined warm-up epoch like
+        # PipeGCN's first iteration — each layer posts its fresh input
+        # when it starts.  Either way the layer completes it first.
+        fwd_handles = []
+        if pipelined and all(x is not None for x in self._stale_x):
+            fwd_handles = [post_forward(x) for x in self._stale_x]
         x = self.task.features
         segments = []
         for layer_idx in range(self.num_layers):
-            sends = {j: x[serve_rows[j]] for j in serve_peers}
-            received = ep.exchange(sends, expect_owners, tag="forward")
+            handle = fwd_handles[layer_idx] if fwd_handles else post_forward(x)
+            if pipelined:
+                self._stale_x[layer_idx] = x  # neighbours consume it next epoch
+            received = ep.complete_exchange(handle)
             seg = self.forward_segment(plan, groups, x, received, layer_idx)
             segments.append(seg)
             x = seg[2].numpy()
 
-        # Layer-synchronous backward: run each tape segment top-down,
-        # returning boundary-feature gradients to their owners between
-        # segments so cross-rank paths are complete before descending.
+        # Backward: run each tape segment top-down.  (ii) The gradients
+        # w.r.t. the gathered boundary blocks are posted back to their
+        # owners at once.  Synchronous: complete them now and add them
+        # at this epoch's served rows before descending.  Pipelined:
+        # drain them after the descent and add them next epoch at the
+        # rows served then — the ghost-loss term d/dh <stop_grad(g),
+        # h[rows]> of PipelinedTrainer.
         loss_local = self.local_loss(segments)
         self.optimizer.zero_grad()
         seed: Optional[np.ndarray] = None
+        returned = self._returned
+        posted = []
         for layer_idx in range(self.num_layers - 1, -1, -1):
             h_leaf, leaves, out = segments[layer_idx]
             d_in = self.dims[layer_idx]
@@ -355,99 +381,30 @@ class _RankLoop:
                     loss_local.backward()
             else:
                 out.backward(seed)
-            received = ep.exchange(
+            handle = ep.post_exchange(
                 self.segment_grads(leaves, d_in), serve_peers, tag="backward"
             )
+            if pipelined:
+                posted.append((layer_idx, handle))
+            else:
+                returned = [(layer_idx, serve_rows, ep.complete_exchange(handle))]
             grad_h = h_leaf.grad
             if grad_h is None:
                 grad_h = np.zeros((self.n_inner, d_in), dtype=h_leaf.dtype)
-            for j in serve_peers:
-                grad_h[serve_rows[j]] += received[j]
-            seed = grad_h
-
-        return plan, loss_local, self.reduce_and_step()
-
-    # -- pipelined epoch (staleness-1, measured overlap) ---------------
-    def pipelined_epoch(self):
-        ep = self.ep
-        plan, serve_rows, groups = self.sample_and_sync()
-        expect_owners = [owner for owner, _pos, _rows in groups]
-        serve_peers = [j for j, rows in serve_rows.items() if rows.size]
-        warm = all(x is not None for x in self._stale_x)
-
-        # Post every layer's boundary features the moment the requests
-        # are known: the payloads are last epoch's layer inputs, so
-        # nothing gates on this epoch's compute — epoch t's exchange
-        # rides on epoch t's SpMM (the PipeGCN overlap, for real).
-        fwd_handles = None
-        if warm:
-            fwd_handles = [
-                ep.post_exchange(
-                    {j: self._stale_x[l][serve_rows[j]] for j in serve_peers},
-                    expect_owners,
-                    tag="forward",
-                )
-                for l in range(self.num_layers)
-            ]
-
-        x = self.task.features
-        segments = []
-        for layer_idx in range(self.num_layers):
-            # Snapshot this epoch's layer input: neighbours consume it
-            # next epoch (staleness 1).
-            self._stale_x[layer_idx] = x
-            if warm:
-                received = ep.complete_exchange(fwd_handles[layer_idx])
-            else:
-                # Warm-up epoch: serve fresh features synchronously,
-                # like PipeGCN's first iteration.
-                sends = {j: x[serve_rows[j]] for j in serve_peers}
-                received = ep.exchange(sends, expect_owners, tag="forward")
-            seg = self.forward_segment(plan, groups, x, received, layer_idx)
-            segments.append(seg)
-            x = seg[2].numpy()
-
-        loss_local = self.local_loss(segments)
-        self.optimizer.zero_grad()
-        seed: Optional[np.ndarray] = None
-        bwd_handles = []
-        for layer_idx in range(self.num_layers - 1, -1, -1):
-            h_leaf, leaves, out = segments[layer_idx]
-            d_in = self.dims[layer_idx]
-            if layer_idx == self.num_layers - 1:
-                if loss_local is not None:
-                    loss_local.backward()
-            else:
-                out.backward(seed)
-            # Gradients w.r.t. the stale blocks gathered THIS epoch
-            # ship now (overlapping the rest of the descent) but are
-            # consumed next epoch — staleness 1 on the gradient path.
-            bwd_handles.append(ep.post_exchange(
-                self.segment_grads(leaves, d_in), serve_peers, tag="backward"
-            ))
-            # Ghost-loss delivery of LAST epoch's returned gradients:
-            # d/dh ⟨stop_grad(g), h[rows]⟩ injects exactly g into my
-            # current layer input at the rows I served then, and flows
-            # down the remaining segments like any other upstream term.
-            grad_h = h_leaf.grad
-            if grad_h is None:
-                grad_h = np.zeros((self.n_inner, d_in), dtype=h_leaf.dtype)
-            for rec_layer, src, grad in self._stale_grad_in:
+            for rec_layer, rows, received in returned:
                 if rec_layer == layer_idx:
-                    grad_h[self._prev_serve_rows[src]] += grad
+                    for j, grad in received.items():
+                        grad_h[rows[j]] += grad
             seed = grad_h
 
-        # Drain this epoch's boundary gradients — peers posted them
-        # top-down, so completing the handles in posting order matches
-        # the channel order — and stash them for next epoch's delivery.
-        lock_sanitizer.schedule_checkpoint("pipelined-drain")
-        self._stale_grad_in = []
-        for k, handle in enumerate(bwd_handles):
-            layer_idx = self.num_layers - 1 - k
-            for src, grad in self.ep.complete_exchange(handle).items():
-                self._stale_grad_in.append((layer_idx, src, grad))
-        self._prev_serve_rows = serve_rows
-
+        if pipelined:
+            # Peers posted top-down, so completing in posting order
+            # matches the channel order.
+            lock_sanitizer.schedule_checkpoint("pipelined-drain")
+            self._returned = [
+                (layer_idx, serve_rows, ep.complete_exchange(pending))
+                for layer_idx, pending in posted
+            ]
         return plan, loss_local, self.reduce_and_step()
 
 
@@ -464,10 +421,6 @@ def _run_rank(ep: Endpoint, task: _RankTask) -> _RankOutcome:
 
 def _run_rank_epochs(ep: Endpoint, task: _RankTask) -> _RankOutcome:
     loop = _RankLoop(ep, task)
-    epoch_fn = (
-        loop.pipelined_epoch if task.schedule == "pipelined"
-        else loop.synchronous_epoch
-    )
     outcome = _RankOutcome(
         rank=task.rank, local_losses=[], sampling_seconds=[],
         by_tag=[], pairwise=[], grad_flat=np.zeros(0), state={},
@@ -480,7 +433,7 @@ def _run_rank_epochs(ep: Endpoint, task: _RankTask) -> _RankOutcome:
         loop.model.train()
         blocked0 = ep.blocked_seconds
         t0 = time.perf_counter()
-        plan, loss_local, summed = epoch_fn()
+        plan, loss_local, summed = loop.epoch()
         outcome.epoch_seconds.append(time.perf_counter() - t0)
         outcome.blocked_seconds.append(ep.blocked_seconds - blocked0)
         outcome.flops.append(loop.epoch_flops(plan))
@@ -548,8 +501,8 @@ class ProcessRankExecutor:
     kernel_backend:
         Split-SpMM kernel implementation
         (:mod:`repro.tensor.kernels`) every rank's epoch body runs
-        under.  Resolved parent-side (so an unavailable backend fails
-        fast, before any worker launches) and shipped to the workers by
+        under.  Resolved parent-side (so an unknown name fails fast,
+        before any worker launches) and shipped to the workers by
         *name* — each rank re-resolves it against its own registry, so
         the same kernels run rank-side whatever the process start
         method.  ``None`` → the process default
@@ -657,8 +610,17 @@ class ProcessRankExecutor:
 
         The final replica state is loaded back into ``self.model`` (the
         replicas are verified identical first), so evaluation and
-        checkpointing work exactly as after an in-process run.
+        checkpointing work exactly as after an in-process run.  An
+        executor trains once: a second launch would re-seed the
+        sampling and dropout streams and start a fresh Adam and
+        pipeline state, silently restarting the run on trained weights.
         """
+        if self.result is not None:
+            raise RuntimeError(
+                "ProcessRankExecutor.train() already ran; a second launch "
+                "would restart the RNG streams and optimizer state — build "
+                "a new executor to train again"
+            )
         if self.runtime.total_train == 0:
             # Fail as loudly as DistributedTrainer.train_epoch does
             # instead of silently training on an all-zero loss.

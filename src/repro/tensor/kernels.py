@@ -4,8 +4,7 @@ The split-form product ``rowscale ⊙ (P_in @ H_in + P_bd·colscale @
 H_bd)`` is the hot loop of every sampled epoch, and how it is computed
 is a *backend* decision, not an operator decision: the same
 :class:`~repro.tensor.sparse.SplitOperator` can be driven by scipy's
-two-pass split kernels, by a fused one-pass CSR kernel, or by a jitted
-implementation when an optional accelerator package is importable.
+two-pass split kernels or by a fused one-pass CSR kernel.
 This module is the seam: a tiny registry of named backends, each
 exposing two primitives —
 
@@ -31,16 +30,6 @@ separate dense passes.  Registered backends:
     the fused kernel existed.  Kept registered for benchmarking and
     conformance testing.
 
-``numba``
-    A fused one-pass traversal jitted with numba, specialised per
-    dtype (fp32/fp64) by numba's lazy compilation.  Registered only
-    when ``import numba`` succeeds; selecting it without the package
-    raises a clear error.  Unlike ``numpy`` it needs *no* merged-CSR
-    build at all — the traversal reads the split blocks directly and
-    folds the scales into the accumulation, so there is no per-plan
-    O(nnz) preparation on either direction (the backward reuses the
-    rank-cached ``inner_t``).
-
 Selection: the ``REPRO_KERNEL_BACKEND`` environment variable pre-sets
 the process default (mirroring ``REPRO_DTYPE``), :func:`set_backend` /
 :class:`use_backend` switch it at runtime, and the trainers, the
@@ -65,8 +54,6 @@ import scipy.sparse as sp
 
 __all__ = [
     "KernelBackend",
-    "NUMBA_AVAILABLE",
-    "available_backends",
     "backend_names",
     "get_backend",
     "merge_split_csr",
@@ -78,14 +65,6 @@ __all__ = [
 
 #: Environment variable that pre-sets the process-wide default backend.
 ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-try:  # optional dependency — the registry gates it, nothing imports it
-    import numba  # noqa: F401
-    from numba import njit as _njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised in the numba CI job
-    NUMBA_AVAILABLE = False
 
 
 # ----------------------------------------------------------------------
@@ -172,16 +151,9 @@ class KernelBackend:
     :meth:`split_spmm_backward` over a
     :class:`~repro.tensor.sparse.SplitOperator` (duck-typed — this
     module never imports the operator class) and a raw ndarray operand.
-    ``available`` is ``False`` for backends whose optional dependency
-    is not importable on this host; they stay listed by
-    :func:`backend_names` so selection errors can name the missing
-    package, but :func:`available_backends` excludes them.
     """
 
     name: str = "base"
-    available: bool = True
-    #: Human-readable reason when ``available`` is False.
-    unavailable_reason: str = ""
 
     def split_spmm_forward(self, op, h: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -203,37 +175,26 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
 
 
 def backend_names() -> Tuple[str, ...]:
-    """All registered backend names, available or not (CLI choices)."""
+    """All registered backend names (CLI choices)."""
     return tuple(_REGISTRY)
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names of the backends usable on this host."""
-    return tuple(n for n, b in _REGISTRY.items() if b.available)
 
 
 def resolve_backend(
     spec: Union[None, str, KernelBackend] = None
 ) -> KernelBackend:
-    """``None`` → the current backend; a name → registry lookup (with
-    an availability check); a backend instance passes through."""
+    """``None`` → the current backend; a name → registry lookup; a
+    backend instance passes through."""
     if spec is None:
         return get_backend()
     if isinstance(spec, KernelBackend):
         return spec
     try:
-        backend = _REGISTRY[spec]
+        return _REGISTRY[spec]
     except KeyError:
         raise ValueError(
             f"unknown kernel backend {spec!r}; registered: "
             + ", ".join(backend_names())
         ) from None
-    if not backend.available:
-        raise RuntimeError(
-            f"kernel backend {spec!r} is not available: "
-            f"{backend.unavailable_reason}"
-        )
-    return backend
 
 
 def get_backend() -> KernelBackend:
@@ -341,176 +302,10 @@ class NumpyFusedBackend(KernelBackend):
 
 
 # ----------------------------------------------------------------------
-# numba — jitted one-pass traversal of the raw split blocks
-# ----------------------------------------------------------------------
-if NUMBA_AVAILABLE:
-
-    @_njit(cache=True)
-    def _nb_forward(
-        in_indptr, in_indices, in_data,
-        bd_indptr, bd_indices, bd_data, has_bd,
-        col_vec, col_scalar, col_kind,  # 0 none, 1 scalar, 2 vector
-        row_scale, has_rs,
-        h, n_in, out,
-    ):  # pragma: no cover - measured in the numba CI job
-        n_rows, d = out.shape
-        for i in range(n_rows):
-            for t in range(in_indptr[i], in_indptr[i + 1]):
-                j = in_indices[t]
-                v = in_data[t]
-                for c in range(d):
-                    out[i, c] += v * h[j, c]
-            if has_bd:
-                for t in range(bd_indptr[i], bd_indptr[i + 1]):
-                    j = bd_indices[t]
-                    v = bd_data[t]
-                    if col_kind == 2:
-                        v = v * col_vec[j]
-                    elif col_kind == 1:
-                        v = v * col_scalar
-                    for c in range(d):
-                        out[i, c] += v * h[n_in + j, c]
-            if has_rs:
-                r = row_scale[i]
-                for c in range(d):
-                    out[i, c] *= r
-
-    @_njit(cache=True)
-    def _nb_backward(
-        it_indptr, it_indices, it_data,
-        bt_indptr, bt_indices, bt_data, has_bd,
-        col_vec, col_scalar, col_kind,
-        row_scale, has_rs,
-        g, n_in, out,
-    ):  # pragma: no cover - measured in the numba CI job
-        d = g.shape[1]
-        for i in range(n_in):
-            for t in range(it_indptr[i], it_indptr[i + 1]):
-                j = it_indices[t]
-                v = it_data[t]
-                if has_rs:
-                    v = v * row_scale[j]
-                for c in range(d):
-                    out[i, c] += v * g[j, c]
-        if has_bd:
-            k = out.shape[0] - n_in
-            for i in range(k):
-                for t in range(bt_indptr[i], bt_indptr[i + 1]):
-                    j = bt_indices[t]
-                    v = bt_data[t]
-                    if has_rs:
-                        v = v * row_scale[j]
-                    for c in range(d):
-                        out[n_in + i, c] += v * g[j, c]
-                if col_kind == 2:
-                    cv = col_vec[i]
-                    for c in range(d):
-                        out[n_in + i, c] *= cv
-                elif col_kind == 1:
-                    for c in range(d):
-                        out[n_in + i, c] *= col_scalar
-
-
-class NumbaFusedBackend(KernelBackend):
-    """Fused one-pass traversal jitted with numba.
-
-    Reads the split CSR blocks directly — no merged-matrix build, no
-    transpose of the stacked operator (the backward reuses the cached
-    ``inner_t``/``boundary_t`` blocks) — and numba's lazy compilation
-    specialises the loops per dtype, so fp32 runs genuine fp32 machine
-    code.  Operand and operator dtypes must match (the trainers keep
-    them consistent); on a mismatch the computation falls back to the
-    fused numpy kernel rather than silently upcasting.
-    """
-
-    name = "numba"
-    available = NUMBA_AVAILABLE
-    unavailable_reason = "the 'numba' package is not installed"
-
-    _EMPTY_I = np.empty(0, dtype=np.int64)
-
-    def _scales(self, op, dtype):
-        cs = op.col_scale
-        if cs is None:
-            col_vec = np.empty(0, dtype=dtype)
-            col_scalar, col_kind = dtype.type(0), 0
-        elif np.ndim(cs) == 0:
-            col_vec = np.empty(0, dtype=dtype)
-            col_scalar, col_kind = dtype.type(cs), 1
-        else:
-            col_vec = np.ascontiguousarray(cs, dtype=dtype)
-            col_scalar, col_kind = dtype.type(0), 2
-        rs = op.row_scale
-        if rs is None:
-            row_scale, has_rs = np.empty(0, dtype=dtype), False
-        else:
-            row_scale, has_rs = np.ascontiguousarray(rs, dtype=dtype), True
-        return col_vec, col_scalar, col_kind, row_scale, has_rs
-
-    @staticmethod
-    def _blocks(block, dtype):
-        if block is None:
-            return (
-                np.zeros(1, dtype=np.int64),
-                NumbaFusedBackend._EMPTY_I,
-                np.empty(0, dtype=dtype),
-                False,
-            )
-        return (
-            block.indptr.astype(np.int64),
-            block.indices.astype(np.int64),
-            block.data,
-            True,
-        )
-
-    def split_spmm_forward(self, op, h: np.ndarray) -> np.ndarray:
-        dtype = op.inner.data.dtype
-        if h.dtype != dtype:  # mixed precision: not a jitted case
-            return _numpy_backend.split_spmm_forward(op, h)
-        squeeze = h.ndim == 1
-        h2 = np.ascontiguousarray(h.reshape(h.shape[0], -1))
-        n_in = op.inner.shape[1]
-        ia, ja, va, _ = self._blocks(op.inner, dtype)
-        ib, jb, vb, has_bd = self._blocks(op.boundary_csr, dtype)
-        col_vec, col_scalar, col_kind, row_scale, has_rs = self._scales(
-            op, dtype
-        )
-        out = np.zeros((op.inner.shape[0], h2.shape[1]), dtype=dtype)
-        _nb_forward(
-            ia, ja, va, ib, jb, vb, has_bd,
-            col_vec, col_scalar, col_kind, row_scale, has_rs,
-            h2, n_in, out,
-        )
-        return out[:, 0] if squeeze else out
-
-    def split_spmm_backward(self, op, g: np.ndarray) -> np.ndarray:
-        dtype = op.inner.data.dtype
-        if g.dtype != dtype:
-            return _numpy_backend.split_spmm_backward(op, g)
-        squeeze = g.ndim == 1
-        g2 = np.ascontiguousarray(g.reshape(g.shape[0], -1))
-        n_in = op.inner.shape[1]
-        ia, ja, va, _ = self._blocks(op.inner_t, dtype)
-        ib, jb, vb, has_bd = self._blocks(op.boundary_t, dtype)
-        col_vec, col_scalar, col_kind, row_scale, has_rs = self._scales(
-            op, dtype
-        )
-        k = op.boundary.shape[1] if op.boundary is not None else 0
-        out = np.zeros((n_in + k, g2.shape[1]), dtype=dtype)
-        _nb_backward(
-            ia, ja, va, ib, jb, vb, has_bd,
-            col_vec, col_scalar, col_kind, row_scale, has_rs,
-            g2, n_in, out,
-        )
-        return out[:, 0] if squeeze else out
-
-
-# ----------------------------------------------------------------------
 # Registration and process default
 # ----------------------------------------------------------------------
 _numpy_backend = register_backend(NumpyFusedBackend())
 register_backend(SplitReferenceBackend())
-register_backend(NumbaFusedBackend())
 
 _tls = threading.local()
 _current: KernelBackend = _numpy_backend

@@ -31,8 +31,8 @@ and fast.
 kernel registry in :mod:`repro.tensor.kernels`:
 ``SplitOperator.matmul``/``rmatmul`` call the active backend's
 ``split_spmm_forward``/``split_spmm_backward`` primitives (fused
-one-pass ``numpy`` by default; two-pass ``split`` reference; jitted
-``numba`` when importable), selected via ``REPRO_KERNEL_BACKEND``,
+one-pass ``numpy`` by default; two-pass ``split`` reference),
+selected via ``REPRO_KERNEL_BACKEND``,
 :func:`~repro.tensor.kernels.set_backend` or the CLI's
 ``--kernel-backend``.
 """

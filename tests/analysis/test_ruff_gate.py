@@ -2,7 +2,7 @@
 
 Ruff is an optional tool (the CI lint job installs it); this test
 keeps the gate honest in any environment that has it and skips
-cleanly everywhere else — same pattern as the numba backend suite.
+cleanly everywhere else.
 """
 
 import shutil

@@ -64,17 +64,17 @@ def partition(graph):
     return partition_graph(graph, 4, method="metis", seed=0)
 
 
-def _make_model(graph, kind="sage", dtype=None):
+def _make_model(graph, kind="sage", dtype=None, layers=2):
     cls = GraphSAGEModel if kind == "sage" else GCNModel
     # dropout=0: the simulated trainer threads one RNG through all
     # ranks' masks, which has no multi-process analogue.
-    return cls(graph.feature_dim, 8, graph.num_classes, 2, 0.0,
+    return cls(graph.feature_dim, 8, graph.num_classes, layers, 0.0,
                np.random.default_rng(1), dtype=dtype)
 
 
 def _simulated_run(graph, partition, sampler, kind="sage", epochs=EPOCHS,
-                   dtype=None):
-    model = _make_model(graph, kind, dtype)
+                   dtype=None, layers=2):
+    model = _make_model(graph, kind, dtype, layers)
     trainer = DistributedTrainer(
         graph, partition, model, sampler, lr=0.01, seed=SEED,
         aggregation="sym" if kind == "gcn" else "mean",
@@ -90,8 +90,8 @@ def _simulated_run(graph, partition, sampler, kind="sage", epochs=EPOCHS,
 
 
 def _executor_run(graph, partition, sampler, transport, kind="sage",
-                  epochs=EPOCHS, dtype=None, **kwargs):
-    model = _make_model(graph, kind, dtype)
+                  epochs=EPOCHS, dtype=None, layers=2, **kwargs):
+    model = _make_model(graph, kind, dtype, layers)
     executor = ProcessRankExecutor(
         graph, partition, model, sampler, transport=transport,
         lr=0.01, seed=SEED,
@@ -173,6 +173,17 @@ class TestLocalTransportEquivalence:
         )
         dist = _executor_run(
             graph, partition, BoundaryNodeSampler(0.4, mode="scale"), "local"
+        )
+        _assert_equivalent(sim, dist)
+
+    def test_three_layers(self, graph, partition):
+        """The middle segment is seeded by ``out.backward(seed)`` and
+        receives returned boundary gradients — a path two layers skip."""
+        sim = _simulated_run(
+            graph, partition, BoundaryNodeSampler(0.5), layers=3
+        )
+        dist = _executor_run(
+            graph, partition, BoundaryNodeSampler(0.5), "local", layers=3
         )
         _assert_equivalent(sim, dist)
 

@@ -61,16 +61,16 @@ def partition(graph):
     return partition_graph(graph, 4, method="metis", seed=0)
 
 
-def _make_model(graph, kind="sage", dtype=None):
+def _make_model(graph, kind="sage", dtype=None, layers=2):
     cls = GraphSAGEModel if kind == "sage" else GCNModel
     # dropout=0: per-rank dropout streams have no simulated analogue.
-    return cls(graph.feature_dim, 8, graph.num_classes, 2, 0.0,
+    return cls(graph.feature_dim, 8, graph.num_classes, layers, 0.0,
                np.random.default_rng(1), dtype=dtype)
 
 
 def _sim_pipelined_run(graph, partition, sampler, kind="sage", epochs=EPOCHS,
-                       dtype=None):
-    model = _make_model(graph, kind, dtype)
+                       dtype=None, layers=2):
+    model = _make_model(graph, kind, dtype, layers)
     trainer = PipelinedTrainer(
         graph, partition, model, sampler, lr=0.01, seed=SEED,
         aggregation="sym" if kind == "gcn" else "mean",
@@ -86,8 +86,8 @@ def _sim_pipelined_run(graph, partition, sampler, kind="sage", epochs=EPOCHS,
 
 
 def _executor_run(graph, partition, sampler, transport, kind="sage",
-                  epochs=EPOCHS, dtype=None, **kwargs):
-    model = _make_model(graph, kind, dtype)
+                  epochs=EPOCHS, dtype=None, layers=2, **kwargs):
+    model = _make_model(graph, kind, dtype, layers)
     executor = ProcessRankExecutor(
         graph, partition, model, sampler, transport=transport,
         lr=0.01, seed=SEED, schedule="pipelined",
@@ -226,6 +226,18 @@ class TestLocalPipelined:
         )
         _assert_equivalent(sim, dist, tol=1e-4)
         assert dist[2].grad_flat.dtype == np.float32
+
+    def test_three_layers(self, graph, partition):
+        """The middle segment is seeded by ``out.backward(seed)`` and
+        receives last epoch's returned gradients — a path two layers
+        skip."""
+        sim = _sim_pipelined_run(
+            graph, partition, BoundaryNodeSampler(0.5), layers=3
+        )
+        dist = _executor_run(
+            graph, partition, BoundaryNodeSampler(0.5), "local", layers=3
+        )
+        _assert_equivalent(sim, dist)
 
     def test_single_rank_degenerate(self, graph):
         part1 = partition_graph(graph, 1, method="random", seed=0)

@@ -2,8 +2,7 @@
 must agree with the materialised stacked operator (and with numpy's
 dense arithmetic) across the full split-operator configuration matrix —
 scalar/vector col_scale, row_scale on/off, empty boundary, 1-D
-operands, fp32/fp64.  The ``numba`` cases auto-skip where the package
-is absent; the optional-deps CI job runs them for real.
+operands, fp32/fp64.
 """
 
 import os
@@ -18,9 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.tensor import SparseOp, SplitOperator, Tensor, spmm
 from repro.tensor.kernels import (
-    NUMBA_AVAILABLE,
     KernelBackend,
-    available_backends,
     backend_names,
     get_backend,
     merge_split_csr,
@@ -30,16 +27,7 @@ from repro.tensor.kernels import (
 )
 
 
-BACKENDS = [
-    pytest.param(
-        name,
-        marks=pytest.mark.skipif(
-            name not in available_backends(),
-            reason=f"backend {name!r} unavailable on this host",
-        ),
-    )
-    for name in backend_names()
-]
+BACKENDS = backend_names()
 
 TOL = {np.float64: 1e-12, np.float32: 1e-5}
 
@@ -198,22 +186,11 @@ class TestRegistry:
         assert get_backend().name == "numpy"
 
     def test_names_include_all(self):
-        names = backend_names()
-        assert "numpy" in names and "split" in names and "numba" in names
-
-    def test_available_subset(self):
-        avail = set(available_backends())
-        assert {"numpy", "split"} <= avail
-        assert ("numba" in avail) == NUMBA_AVAILABLE
+        assert {"numpy", "split"} <= set(backend_names())
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
             resolve_backend("bogus")
-
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba installed here")
-    def test_unavailable_backend_raises(self):
-        with pytest.raises(RuntimeError, match="not available"):
-            resolve_backend("numba")
 
     def test_instance_passes_through(self):
         b = resolve_backend("split")
