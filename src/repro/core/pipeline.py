@@ -115,7 +115,7 @@ class PipelinedTrainer(DistributedTrainer):
         def fetch(owner, rows):
             block = Tensor(source[owner][rows], requires_grad=True)
             self._gathered.append((layer_idx, owner, rows, block))
-            return block
+            return block, None
 
         return fetch
 

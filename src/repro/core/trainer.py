@@ -14,7 +14,7 @@ one process:
   layer on ``[H_i ; H_{U_i}]`` with the 1/p-rescaled operator;
 * line 12-13: per-rank loss over inner training nodes; one global
   backward pass pushes boundary-feature gradients back through the
-  gather ops (metered as backward traffic — the transpose of forward);
+  fetched rows (metered as backward traffic — the transpose of forward);
 * line 14-15: the gradient AllReduce is metered, and because all ranks
   share one model replica in-process, the accumulated gradient already
   equals the AllReduce-sum.
@@ -46,7 +46,7 @@ from ..nn.metrics import evaluate_full_graph
 from ..nn.module import resolve_model_dtype
 from ..nn.optim import Adam, Optimizer
 from ..partition.types import PartitionResult
-from ..tensor import Tensor, concat_rows, gather_rows, relu, use_backend
+from ..tensor import Tensor, gather_concat, gather_rows, relu, use_backend
 from .bns import PartitionRuntime, RankData, derive_seeds
 from .sampler import BoundarySampler, EpochPlan, FullBoundarySampler, plan_sampling_ops
 
@@ -179,12 +179,13 @@ class DistributedTrainer:
 
     def _boundary_source(
         self, layer_idx: int, h_ranks: List[Tensor]
-    ) -> Callable[[int, np.ndarray], Tensor]:
+    ) -> Callable[[int, np.ndarray], Tuple[Tensor, Optional[np.ndarray]]]:
         """(b) Called once per layer with every rank's layer input;
-        returns ``fetch(owner, rows)``, the block of ``owner``'s rows a
-        consumer stacks under its own — here a differentiable gather,
-        so backward returns the boundary gradients the same way."""
-        return lambda owner, rows: gather_rows(h_ranks[owner], rows)
+        returns ``fetch(owner, rows)``, the ``(tensor, rows)`` block a
+        consumer stacks under its own (``rows=None``: all of it) — here
+        ``owner``'s input at ``rows``, so backward returns the boundary
+        gradients to those rows."""
+        return lambda owner, rows: (h_ranks[owner], rows)
 
     def _apply_layer(
         self, layer_idx: int, rank: RankData, plan: EpochPlan, h_all: Tensor
@@ -252,13 +253,13 @@ class DistributedTrainer:
             new_h = []
             for i, r in enumerate(ranks):
                 pl = plans[i]
-                parts = [h_ranks[i]]
+                blocks = [(h_ranks[i], None)]
                 for owner, _pos, owner_rows in r.boundary_groups(pl.kept_positions):
-                    parts.append(fetch(owner, owner_rows))
+                    blocks.append(fetch(owner, owner_rows))
                     # features now, gradients on the way back
                     self.comm.send(owner, i, len(owner_rows) * d_in, "forward")
                     self.comm.send(i, owner, len(owner_rows) * d_in, "backward")
-                h_all = concat_rows(parts) if len(parts) > 1 else parts[0]
+                h_all = gather_concat(blocks) if len(blocks) > 1 else h_ranks[i]
                 h_all = self.model.dropout(h_all, self.dropout_rng)
                 out, layer_cost = self._apply_layer(layer_idx, r, pl, h_all)
                 new_h.append(relu(out) if layer_idx < last else out)

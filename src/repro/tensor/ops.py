@@ -8,11 +8,11 @@ segment reductions (the aggregation primitive of GAT).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, _index_grad, as_tensor
 
 __all__ = [
     "exp",
@@ -29,6 +29,7 @@ __all__ = [
     "segment_sum",
     "segment_softmax",
     "concat_rows",
+    "gather_concat",
     "stack_mean",
 ]
 
@@ -74,7 +75,9 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
     out_data = np.where(mask, x.data, negative_slope * x.data)
 
     def backward(g: np.ndarray):
-        return ((x, g * np.where(mask, 1.0, negative_slope)),)
+        # The factor in x's dtype: a float64 one would upcast fp32 grads.
+        slope = np.where(mask, 1.0, negative_slope).astype(x.data.dtype, copy=False)
+        return ((x, g * slope),)
 
     return Tensor._make(out_data, (x,), "leaky_relu", backward)
 
@@ -163,9 +166,7 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
     out_data = x.data[index]
 
     def backward(g: np.ndarray):
-        full = np.zeros_like(x.data)
-        np.add.at(full, index, g)
-        return ((x, full),)
+        return ((x, _index_grad(x, index, g)),)
 
     return Tensor._make(out_data, (x,), "gather_rows", backward)
 
@@ -220,23 +221,39 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) 
     return Tensor._make(out_data, (scores,), "segment_softmax", backward)
 
 
+def gather_concat(blocks: Sequence[Tuple[Tensor, Optional[np.ndarray]]]) -> Tensor:
+    """Stack ``x`` (``rows=None``) or ``x[rows]`` of each ``(x, rows)``
+    block along axis 0.
+
+    One op for the feature matrix a partition-parallel rank builds per
+    layer: its own block over the boundary rows fetched from each owner.
+    Backward hands a whole block its slice of the gradient and a
+    gathered block a row-indexed one, so a fetch costs no scatter of
+    its own.
+    """
+    tensors = [as_tensor(t) for t, _rows in blocks]
+    rows = [None if r is None else np.asarray(r, dtype=np.int64) for _t, r in blocks]
+    parts = [t.data if r is None else t.data[r] for t, r in zip(tensors, rows)]
+    out_data = np.concatenate(parts, axis=0)
+    offsets = np.cumsum([0] + [len(p) for p in parts])
+
+    def backward(g: np.ndarray):
+        grads = []
+        for k, (t, r) in enumerate(zip(tensors, rows)):
+            block = g[offsets[k]:offsets[k + 1]]
+            grads.append((t, block if r is None else _index_grad(t, r, block)))
+        return grads
+
+    return Tensor._make(out_data, tuple(tensors), "gather_concat", backward)
+
+
 def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
     """Concatenate 2-D tensors along axis 0 (row blocks).
 
     The partition-parallel trainer uses this to stitch the inner-node
     block and the received boundary block into one feature matrix.
     """
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.shape[0] for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=0)
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g: np.ndarray):
-        return tuple(
-            (t, g[offsets[k]:offsets[k + 1]]) for k, t in enumerate(tensors)
-        )
-
-    return Tensor._make(out_data, tuple(tensors), "concat_rows", backward)
+    return gather_concat([(t, None) for t in tensors])
 
 
 def concat_cols(tensors: Sequence[Tensor]) -> Tensor:

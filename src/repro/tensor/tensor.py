@@ -13,6 +13,19 @@ output's gradient back to its parents.  Gradients are plain numpy
 arrays (never Tensors), so the engine is first-order only — exactly
 what GCN training needs.
 
+A closure receives the output's gradient ``g`` and returns one
+``(parent, grad)`` pair per parent, where ``grad`` is one of:
+
+* ``None`` — no gradient for that parent;
+* an array of the parent's shape — added to the parent's gradient.  The
+  tape may hold it by reference and never writes into it, so views of
+  ``g`` and one ``g`` handed to several parents are fine;
+* ``(key, values)`` — a row-indexed gradient meaning "add ``values`` at
+  ``parent[key]``".  ``key`` is a basic slice or an integer index with
+  distinct entries.  The tape adds it in place into a buffer it owns, so
+  gathering a few rows of a large tensor costs no full-size zero buffer
+  and no ``np.add.at`` scatter; the bytes equal that scatter's.
+
 Broadcasting is fully supported: gradients flowing into a broadcast
 operand are summed over the broadcast axes by :func:`unbroadcast`.
 """
@@ -73,6 +86,79 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _index_grad(x: "Tensor", key, g: np.ndarray):
+    """The gradient of ``x[key]`` given ``g``.
+
+    A key that names every element at most once — a slice, or integer
+    index arrays whose first is strictly increasing (a row gather, or
+    cross-entropy's one pick per row) — gives a row-indexed gradient the
+    tape adds in place.  Any other key may repeat elements (GAT's edge
+    gathers do), so ``np.add.at`` scatters it.
+    """
+    if isinstance(key, slice):
+        return (key, g)
+    arrays = key if isinstance(key, tuple) else (key,)
+    if (
+        arrays
+        and all(
+            isinstance(a, np.ndarray) and a.dtype.kind in "iu" and a.ndim == 1
+            and a.shape == arrays[0].shape
+            for a in arrays
+        )
+        and np.all(arrays[0][1:] > arrays[0][:-1])
+    ):
+        return (key, g)
+    full = np.zeros_like(x.data)
+    np.add.at(full, key, g)
+    return full
+
+
+def _add_grad(grads: dict, owned: dict, parent: "Tensor", contribution) -> None:
+    """Add one closure's ``contribution`` into ``grads[id(parent)]``.
+
+    ``owned`` maps the ids whose buffer this backward pass allocated —
+    the only arrays it ever writes in place — to whether that buffer is
+    free of ``-0.0``.  Every path gives the bytes of the out-of-place
+    reference, where ``(key, values)`` is first scattered with
+    ``np.add.at`` into zeros: ``0.0 + v`` equals ``v`` except that it
+    turns ``-0.0`` into ``+0.0``, so ``acc[key] += values`` matches only
+    on a buffer holding no ``-0.0``.  ``zeros_like`` holds none,
+    ``a + 0.0`` clears them, and a sum with one such operand makes none.
+    """
+    pid = id(parent)
+    acc = grads.get(pid)
+    if type(contribution) is tuple:
+        key, values = contribution
+        data = parent.data
+        if values.dtype == data.dtype and (
+            acc is None or (acc.dtype == data.dtype and acc.shape == data.shape)
+        ):
+            if acc is None:
+                acc = np.zeros_like(data)
+            elif pid not in owned:
+                acc = acc + 0.0
+            elif not owned[pid]:
+                acc += 0.0
+            acc[key] += values
+            grads[pid], owned[pid] = acc, True
+            return
+        # Mixed precision: scatter out of place, as the reference does.
+        contribution = np.zeros_like(data)
+        np.add.at(contribution, key, values)
+    if acc is None:
+        grads[pid] = contribution
+    elif (
+        pid in owned
+        and isinstance(contribution, np.ndarray)
+        and contribution.dtype == acc.dtype
+        and contribution.shape == acc.shape
+    ):
+        acc += contribution
+    else:
+        grads[pid] = acc + contribution
+        owned[pid] = owned.get(pid, False)
 
 
 class Tensor:
@@ -232,21 +318,18 @@ class Tensor:
                     stack.append((parent, False))
 
         grads: dict[int, np.ndarray] = {id(self): grad}
+        owned: dict[int, bool] = {}  # see _add_grad
         for node in reversed(topo):
             g = grads.pop(id(node), None)
             if g is None:
                 continue
+            owned.pop(id(node), None)
             node._accumulate(g)
             if node._backward is None:
                 continue
             for parent, pg in node._backward(g):
-                if pg is None:
-                    continue
-                pid = id(parent)
-                if pid in grads:
-                    grads[pid] = grads[pid] + pg
-                else:
-                    grads[pid] = pg
+                if pg is not None:
+                    _add_grad(grads, owned, parent, pg)
 
     # ------------------------------------------------------------------
     # Op construction helper
@@ -256,7 +339,7 @@ class Tensor:
         data: np.ndarray,
         parents: Sequence["Tensor"],
         op: str,
-        backward: Callable[[np.ndarray], Iterable[Tuple["Tensor", Optional[np.ndarray]]]],
+        backward: Callable[[np.ndarray], Iterable[Tuple["Tensor", object]]],
     ) -> "Tensor":
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires, _parents=tuple(parents), _op=op)
@@ -440,9 +523,7 @@ class Tensor:
         out_data = self.data[key]
 
         def backward(g: np.ndarray):
-            full = np.zeros_like(self.data)
-            np.add.at(full, key, g)
-            return ((self, full),)
+            return ((self, _index_grad(self, key, g)),)
 
         return Tensor._make(out_data, (self,), "getitem", backward)
 

@@ -1,6 +1,8 @@
 """One Algorithm-1 epoch body: the pipelined and GAT trainers are
 ``DistributedTrainer`` subclasses that replace steps, not the loop."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.core import (
     BoundaryNodeSampler,
     DistributedGATTrainer,
     DistributedTrainer,
+    FullBoundarySampler,
     PipelinedTrainer,
 )
 from repro.nn import GATModel, GraphSAGEModel
@@ -76,6 +79,63 @@ def test_gat_trajectory_matches_parent_commit(small_graph, p):
     assert ledgers == [
         {"forward": fwd, "backward": fwd, "reduce": 13824, "sample_sync": sync}
         for fwd, sync in want_bytes
+    ]
+
+
+# Recorded before boundary fetches became row-indexed gradients: small
+# graph (seed 5), 4 METIS parts, GraphSAGE(hidden 8, 3 layers, dropout
+# 0.5, rng 0, float64), lr 0.01, trainer seed 0, 5 epochs.  Exact, so a
+# change in how the tape accumulates shows here first (a BLAS build that
+# rounds matmuls differently would move them too).
+SAGE_PINNED = {
+    (DistributedTrainer, 1.0): (
+        ["0x1.49ad91489680cp+1", "0x1.3049bd65041bfp+1", "0x1.30bab00925936p+1",
+         "0x1.2bc33db74b4bdp+1", "0x1.1fa334d23beacp+1"],
+        "cad695498644e9009d7c5ee3bd83b6d04e4737a69da9a17e264ea575d7711b68",
+    ),
+    (DistributedTrainer, 0.5): (
+        ["0x1.486f1011ea997p+1", "0x1.379363ff1dd2cp+1", "0x1.30badd1c354c8p+1",
+         "0x1.29542a51cc06fp+1", "0x1.1a6261765cee7p+1"],
+        "02d48b6ac6ee7883de4bdd0a84b33bf57cc122ce1f5cb048d8216848d99ef1f8",
+    ),
+    (PipelinedTrainer, 1.0): (
+        ["0x1.49ad91489680cp+1", "0x1.2fc4954231ca6p+1", "0x1.3263a52f6c066p+1",
+         "0x1.290a692a82a49p+1", "0x1.21766e14354ebp+1"],
+        "cfc973996bf32d5e1cd5b90f58ce0a96c03a873984ca066103a5da5f2553a81d",
+    ),
+    (PipelinedTrainer, 0.5): (
+        ["0x1.486f1011ea997p+1", "0x1.36d58966a6878p+1", "0x1.312feae83538ep+1",
+         "0x1.2b956784547a6p+1", "0x1.193f0df8c0117p+1"],
+        "e2c6f9d2f7caa823367e953ce643d42cc0196bc05145976fcd3334080077bcd4",
+    ),
+}
+# (sample_sync, forward) bytes per epoch; backward mirrors forward, the
+# AllReduce is constant, and staleness moves no bytes.
+SAGE_PINNED_BYTES = {
+    1.0: [(17160, 183040)] * 5,
+    0.5: [(8832, 94208), (8784, 93696), (8784, 93696), (8376, 89344),
+          (8952, 95488)],
+}
+
+
+@pytest.mark.parametrize("cls, p", sorted(SAGE_PINNED, key=lambda k: (k[0].__name__, k[1])))
+def test_sage_trajectory_matches_pinned(small_graph, small_partition, cls, p):
+    g = small_graph
+    model = GraphSAGEModel(
+        g.feature_dim, 8, g.num_classes, 3, 0.5, np.random.default_rng(0),
+        dtype="float64",
+    )
+    sampler = FullBoundarySampler() if p == 1.0 else BoundaryNodeSampler(p)
+    trainer = cls(g, small_partition, model, sampler, lr=0.01, seed=0)
+    losses, ledgers = [], []
+    for _ in range(5):
+        losses.append(trainer.train_epoch().hex())
+        ledgers.append(dict(trainer.comm.meter.by_tag))
+    digest = hashlib.sha256(b"".join(q.data.tobytes() for q in model.parameters()))
+    assert (losses, digest.hexdigest()) == SAGE_PINNED[cls, p]
+    assert ledgers == [
+        {"sample_sync": sync, "forward": fwd, "backward": fwd, "reduce": 25728}
+        for sync, fwd in SAGE_PINNED_BYTES[p]
     ]
 
 
