@@ -145,13 +145,23 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = T
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     keep = 1.0 - rate
     # The Bernoulli draw is dtype-independent (the RNG stream is shared
-    # across precisions); only the mask adopts the tensor's dtype.
-    mask = ((rng.random(x.shape) < keep) / keep).astype(x.data.dtype, copy=False)
+    # across precisions).  The tape keeps it as a bool mask, and the
+    # scale is a second multiply in the tensor's dtype: ``(v·1)·s`` and
+    # ``(v·0)·s`` are the bytes of ``v·(1/keep)`` and ``v·0`` — signed
+    # zeros, infs and NaNs included — at an eighth of an fp64 mask.
+    mask = rng.random(x.shape) < keep
+    scale = x.data.dtype.type(1.0 / keep)
+    out_data = x.data * mask
+    out_data *= scale
 
     def backward(g: np.ndarray):
-        return ((x, g * mask),)
+        # In the dtype ``g * float_mask`` had, even for a ``g`` narrower
+        # than ``x``.
+        pg = np.multiply(g, mask, dtype=np.result_type(g.dtype, x.data.dtype))
+        pg *= scale
+        return ((x, pg),)
 
-    return Tensor._make(x.data * mask, (x,), "dropout", backward)
+    return Tensor._make(out_data, (x,), "dropout", backward)
 
 
 def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:

@@ -4,8 +4,22 @@ This module is the substrate that replaces PyTorch's autograd in the
 BNS-GCN reproduction.  A :class:`Tensor` wraps an ``np.ndarray`` and
 records the operations applied to it on a dynamic tape; calling
 :meth:`Tensor.backward` on a scalar result walks the tape in reverse
-topological order and accumulates gradients into every tensor created
+topological order and accumulates gradients into every leaf created
 with ``requires_grad=True``.
+
+The tape keeps only what those leaf gradients need:
+
+* ``.grad`` is kept on leaves only.  An intermediate's gradient lives
+  for one backward pass and is dropped once its closure has run, as in
+  PyTorch.
+* An op whose inputs all have ``requires_grad=False`` records no
+  parents and no closure, so a forward-only chain of constants is freed
+  as soon as its consumer has run.
+* The walk descends only into parents that require a gradient, and a
+  closure may return ``None`` for a parent that needs none (the 2-D
+  matmul skips the product for a constant operand).
+
+Recording is switched off per thread by :class:`no_grad`.
 
 The design follows the "define-by-run" style: each op constructs the
 output tensor eagerly and attaches a closure that knows how to push the
@@ -32,6 +46,7 @@ operand are summed over the broadcast axes by :func:`unbroadcast`.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -42,30 +57,37 @@ __all__ = ["Tensor", "unbroadcast", "as_tensor", "no_grad", "is_grad_enabled"]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Per-thread grad mode: the thread-based transport runs every rank
+    in one process, and one rank inside :class:`no_grad` must not stop
+    its siblings' ops from recording."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 class no_grad:
-    """Context manager that disables tape recording.
+    """Context manager that disables tape recording on this thread.
 
     Used for evaluation passes so that inference does not build (and
     hold onto) an autograd graph.
     """
 
     def __enter__(self) -> "no_grad":
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _grad_mode.enabled
+        _grad_mode.enabled = False
         return self
 
     def __exit__(self, *exc) -> None:
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _grad_mode.enabled = self._prev
 
 
 def is_grad_enabled() -> bool:
-    """Return whether new ops are currently recorded on the tape."""
-    return _GRAD_ENABLED
+    """Return whether new ops are currently recorded on this thread."""
+    return _grad_mode.enabled
 
 
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -174,8 +196,9 @@ class Tensor:
         changed).  Integer arrays are kept as-is (they cannot require
         gradients).
     requires_grad:
-        If True, gradients are accumulated into :attr:`grad` during
-        :meth:`backward`.
+        If True, a leaf accumulates its gradient into :attr:`grad`
+        during :meth:`backward` (an op's output gets this flag from its
+        inputs and keeps no ``.grad``).
     dtype:
         Optional explicit float dtype (float32/float64); overrides both
         the array's dtype and the module default.
@@ -215,7 +238,7 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = bool(requires_grad)
         self._backward: Optional[Callable[[np.ndarray], None]] = None
-        self._parents: Tuple[Tensor, ...] = _parents if _GRAD_ENABLED else ()
+        self._parents: Tuple[Tensor, ...] = _parents
         self._op: str = _op
 
     # ------------------------------------------------------------------
@@ -273,9 +296,7 @@ class Tensor:
     # Graph bookkeeping
     # ------------------------------------------------------------------
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into this tensor's ``.grad`` buffer."""
-        if not self.requires_grad:
-            return
+        """Add ``grad`` into this leaf's ``.grad`` buffer."""
         if self.grad is None:
             # Accumulate in the tensor's own dtype: an fp32 parameter
             # must not grow an fp64 gradient (the optimizer would
@@ -291,7 +312,8 @@ class Tensor:
         """Run reverse-mode autodiff from this tensor.
 
         ``grad`` defaults to ones (the tensor must be scalar in that
-        case, matching the usual loss.backward() idiom).
+        case, matching the usual loss.backward() idiom).  Only leaves
+        that require a gradient receive ``.grad``.
         """
         if grad is None:
             if self.data.size != 1:
@@ -314,7 +336,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited:
+                if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
 
         grads: dict[int, np.ndarray] = {id(self): grad}
@@ -324,11 +346,12 @@ class Tensor:
             if g is None:
                 continue
             owned.pop(id(node), None)
-            node._accumulate(g)
             if node._backward is None:
+                if node.requires_grad:
+                    node._accumulate(g)
                 continue
             for parent, pg in node._backward(g):
-                if pg is not None:
+                if pg is not None and parent.requires_grad:
                     _add_grad(grads, owned, parent, pg)
 
     # ------------------------------------------------------------------
@@ -341,10 +364,10 @@ class Tensor:
         op: str,
         backward: Callable[[np.ndarray], Iterable[Tuple["Tensor", object]]],
     ) -> "Tensor":
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires, _parents=tuple(parents), _op=op)
-        if requires:
-            out._backward = backward
+        if not (_grad_mode.enabled and any(p.requires_grad for p in parents)):
+            return Tensor(data, _op=op)
+        out = Tensor(data, requires_grad=True, _parents=tuple(parents), _op=op)
+        out._backward = backward
         return out
 
     # ------------------------------------------------------------------
@@ -452,7 +475,10 @@ class Tensor:
             if other.data.ndim == 1:
                 # (m, k) @ (k,) -> (m,)
                 return ((self, np.outer(g, other.data)), (other, self.data.T @ g))
-            return ((self, g @ other.data.T), (other, self.data.T @ g))
+            return (
+                (self, g @ other.data.T if self.requires_grad else None),
+                (other, self.data.T @ g if other.requires_grad else None),
+            )
 
         return Tensor._make(out_data, (self, other), "matmul", backward)
 

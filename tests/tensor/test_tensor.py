@@ -1,5 +1,7 @@
 """Core Tensor semantics: construction, arithmetic, backward."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -283,6 +285,57 @@ class TestNoGrad:
             with no_grad():
                 pass
             assert not is_grad_enabled()
+        assert is_grad_enabled()
+
+    def test_no_grad_does_not_leak_across_threads(self):
+        """The thread transport runs ranks as threads of one process:
+        one rank evaluating under ``no_grad`` must not stop another
+        rank's ops from recording."""
+        inside, done = threading.Event(), threading.Event()
+        seen = {}
+
+        def evaluating():
+            with no_grad():
+                inside.set()
+                done.wait(10)
+
+        def training():
+            inside.wait(10)
+            seen["enabled"] = is_grad_enabled()
+            w = Tensor(np.ones(3), requires_grad=True)
+            (w * 2.0).sum().backward()
+            seen["grad"] = w.grad
+            done.set()
+
+        threads = [threading.Thread(target=evaluating), threading.Thread(target=training)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+            assert not t.is_alive()
+        assert seen["enabled"] is True
+        np.testing.assert_array_equal(seen["grad"], [2.0, 2.0, 2.0])
+
+    def test_nesting_is_per_thread(self):
+        """A thread starts with grad mode on whatever its parent is in,
+        and its own nested scopes restore its own state."""
+        seen = []
+
+        def worker():
+            seen.append(is_grad_enabled())
+            with no_grad():
+                with no_grad():
+                    seen.append(is_grad_enabled())
+                seen.append(is_grad_enabled())
+            seen.append(is_grad_enabled())
+
+        with no_grad():
+            t = threading.Thread(target=worker)
+            t.start()
+            t.join(10)
+            assert not t.is_alive()
+            assert not is_grad_enabled()
+        assert seen == [True, False, False, True]
         assert is_grad_enabled()
 
 
