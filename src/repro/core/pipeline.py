@@ -17,8 +17,9 @@ compose as the paper suggests), metering, loss and bookkeeping are
 inherited:
 
 * the block gathered for ``U_i`` at layer ℓ is the owners' layer-ℓ
-  input of epoch ``t-1`` (staleness 1), a constant on the tape; epoch 0
-  gathers fresh values, like PipeGCN's warm-up iteration.  The same
+  input of epoch ``t-1`` (staleness 1), a leaf on the tape — a plain
+  constant at layer 0, whose input is data and gets no gradient; epoch
+  0 gathers fresh values, like PipeGCN's warm-up iteration.  The same
   bytes travel either way — staleness changes *when* traffic moves,
   not how much — so the Eq. 3 metering is untouched and the modelled
   epoch time simply sets ``overlap_communication``;
@@ -113,6 +114,8 @@ class PipelinedTrainer(DistributedTrainer):
             self._ghost = term if self._ghost is None else self._ghost + term
 
         def fetch(owner, rows):
+            if layer_idx == 0:  # input features are data: no gradient
+                return Tensor(source[owner][rows]), None
             block = Tensor(source[owner][rows], requires_grad=True)
             self._gathered.append((layer_idx, owner, rows, block))
             return block, None

@@ -14,7 +14,9 @@ one process:
   layer on ``[H_i ; H_{U_i}]`` with the 1/p-rescaled operator;
 * line 12-13: per-rank loss over inner training nodes; one global
   backward pass pushes boundary-feature gradients back through the
-  fetched rows (metered as backward traffic — the transpose of forward);
+  fetched rows (metered as backward traffic — the transpose of forward
+  for every layer but the first: layer 0's input is data, so no
+  gradient flows to it and none is metered);
 * line 14-15: the gradient AllReduce is metered, and because all ranks
   share one model replica in-process, the accumulated gradient already
   equals the AllReduce-sum.
@@ -256,9 +258,11 @@ class DistributedTrainer:
                 blocks = [(h_ranks[i], None)]
                 for owner, _pos, owner_rows in r.boundary_groups(pl.kept_positions):
                     blocks.append(fetch(owner, owner_rows))
-                    # features now, gradients on the way back
+                    # features now, gradients on the way back — except
+                    # at layer 0, whose input is data and has none
                     self.comm.send(owner, i, len(owner_rows) * d_in, "forward")
-                    self.comm.send(i, owner, len(owner_rows) * d_in, "backward")
+                    if layer_idx > 0:
+                        self.comm.send(i, owner, len(owner_rows) * d_in, "backward")
                 h_all = gather_concat(blocks) if len(blocks) > 1 else h_ranks[i]
                 h_all = self.model.dropout(h_all, self.dropout_rng)
                 out, layer_cost = self._apply_layer(layer_idx, r, pl, h_all)

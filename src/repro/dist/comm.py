@@ -6,7 +6,8 @@ role:
 
 * ``"sample_sync"`` — the kept-boundary index broadcast (lines 6-7);
 * ``"forward"`` / ``"backward"`` — boundary feature/gradient traffic
-  (lines 9-10 and the transposed path);
+  (lines 9-10 and the transposed path, which stops at layer 1: layer
+  0's input is data, so no gradient is sent for it);
 * ``"reduce"`` — the gradient AllReduce (line 14).
 
 Point-to-point traffic is additionally accumulated into a ``(m, m)``

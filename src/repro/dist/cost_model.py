@@ -282,8 +282,9 @@ def bns_epoch_model(workload, cluster: ClusterSpec, p: float,
                     dtype=PAPER_DTYPE) -> EpochBreakdown:
     """BNS-GCN epoch at boundary sampling rate ``p`` (Eq. 3 priced).
 
-    Communication is the kept boundary features (and their gradients)
-    moving owner→consumer each layer; sampling cost follows the
+    Communication is the kept boundary features moving owner→consumer
+    each layer, and their gradients moving back for every layer but the
+    first (layer 0's input is data); sampling cost follows the
     split-operator planner — proportional to the *kept* boundary
     nodes/edges, zero at p=1 where the cached full plan is reused.
     ``dtype`` prices the wire scalars (fp32, the paper's setting, by
@@ -294,7 +295,10 @@ def bns_epoch_model(workload, cluster: ClusterSpec, p: float,
     nbytes = scalar_nbytes(dtype)
     m = workload.num_parts
     dims = workload.layer_dims
-    width = float(sum(dims[:-1]))  # layer input widths, as metered
+    # Layer input widths, as metered: features travel for every layer,
+    # gradients for every layer but the first (its input is data).
+    fwd_width = float(sum(dims[:-1]))
+    bwd_width = float(sum(dims[1:-1]))
 
     flops = np.array(
         [
@@ -313,9 +317,9 @@ def bns_epoch_model(workload, cluster: ClusterSpec, p: float,
         for j in range(m):
             if i == j:
                 continue
-            feature_bytes = p * pair[j, i] * width * nbytes
-            b[j, i] += feature_bytes  # forward: owner j -> consumer i
-            b[i, j] += feature_bytes  # backward: gradients retrace the path
+            # forward: owner j -> consumer i; backward: gradients retrace it
+            b[j, i] += p * pair[j, i] * fwd_width * nbytes
+            b[i, j] += p * pair[j, i] * bwd_width * nbytes
 
     if p >= 1.0 or p <= 0.0:
         sampling = 0.0  # cached degenerate plans: zero per-epoch work

@@ -20,6 +20,10 @@ boundary-sampled training with real exchanges:
   tape is cut at the layer inputs, gradients w.r.t. the gathered
   boundary blocks travel back to their owners and are scatter-added
   into the owner's input gradient before the next tape segment runs.
+  Layer 0's input is data (it requires no gradient, as in a PyTorch
+  model), so its segment runs for the weight gradients only: no rank
+  builds, ships or meters a layer-0 input gradient, and the per-epoch
+  ``backward`` ledger is ``Σ_i |U_i| · Σ_{1≤ℓ<L} d_ℓ`` scalars.
   Summed over the AllReduce this reproduces the single-tape gradient
   of the simulated trainer exactly (up to float addition order — the
   equivalence suite pins 1e-9);
@@ -53,8 +57,8 @@ trainers byte for byte.
 Every rank additionally records, per epoch, its wall seconds and the
 seconds it spent blocked inside ``recv`` (the transport's
 ``blocked_seconds`` counter) — so the overlap claim is *measured*, not
-modeled: the pipelined schedule's blocked-in-recv fraction lands in
-``BENCH_sampling.json:e2e_epoch`` next to the synchronous one.
+modeled: the end-to-end benchmark (``benchmarks/e2e``) reports it as
+``executor.blocked_frac`` for the synchronous and pipelined workloads.
 
 Byte metering is identical to the simulated run by construction: every
 worker meters its own traffic through the same
@@ -264,13 +268,16 @@ class _RankLoop:
         """One layer on ``[own block ; gathered boundary blocks]``.
 
         Cuts the tape at the layer input: the segment's leaves are this
-        rank's own features plus the gathered remote blocks.
+        rank's own features plus the gathered remote blocks.  Layer 0's
+        input is data, so none of them requires a gradient there: that
+        segment's backward yields weight gradients only.
         """
-        h_leaf = Tensor(x, requires_grad=True)
+        needs_grad = layer_idx > 0
+        h_leaf = Tensor(x, requires_grad=needs_grad)
         parts: List[Tensor] = [h_leaf]
         leaves = []
         for owner, _pos, owner_rows in groups:
-            block = Tensor(received[owner], requires_grad=True)
+            block = Tensor(received[owner], requires_grad=needs_grad)
             leaves.append((owner, owner_rows, block))
             parts.append(block)
         h_all = concat_rows(parts) if len(parts) > 1 else h_leaf
@@ -367,7 +374,9 @@ class _RankLoop:
         # at this epoch's served rows before descending.  Pipelined:
         # drain them after the descent and add them next epoch at the
         # rows served then — the ghost-loss term d/dh <stop_grad(g),
-        # h[rows]> of PipelinedTrainer.
+        # h[rows]> of PipelinedTrainer.  Layer 0's segment runs for
+        # its weight gradients only: its input is data, so no rank
+        # posts a layer-0 exchange and the tags stay matched.
         loss_local = self.local_loss(segments)
         self.optimizer.zero_grad()
         seed: Optional[np.ndarray] = None
@@ -381,6 +390,8 @@ class _RankLoop:
                     loss_local.backward()
             else:
                 out.backward(seed)
+            if layer_idx == 0:
+                break
             handle = ep.post_exchange(
                 self.segment_grads(leaves, d_in), serve_peers, tag="backward"
             )

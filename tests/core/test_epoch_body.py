@@ -19,6 +19,13 @@ from repro.partition import partition_graph
 SUBCLASSES = (PipelinedTrainer, DistributedGATTrainer)
 
 
+def backward_bytes(forward, dims):
+    """The ``backward`` bytes that mirror ``forward`` bytes: the same
+    boundary rows, but only at layers 1.. — layer 0's input is data."""
+    assert forward * sum(dims[1:-1]) % sum(dims[:-1]) == 0
+    return forward * sum(dims[1:-1]) // sum(dims[:-1])
+
+
 @pytest.mark.parametrize("cls", SUBCLASSES)
 class TestSingleBody:
     def test_is_subclass(self, cls):
@@ -77,7 +84,8 @@ def test_gat_trajectory_matches_parent_commit(small_graph, p):
     want_losses, want_bytes = GAT_PINNED[p]
     np.testing.assert_allclose(losses, want_losses, rtol=1e-12, atol=0.0)
     assert ledgers == [
-        {"forward": fwd, "backward": fwd, "reduce": 13824, "sample_sync": sync}
+        {"forward": fwd, "backward": backward_bytes(fwd, model.dims),
+         "reduce": 13824, "sample_sync": sync}
         for fwd, sync in want_bytes
     ]
 
@@ -109,8 +117,9 @@ SAGE_PINNED = {
         "e2c6f9d2f7caa823367e953ce643d42cc0196bc05145976fcd3334080077bcd4",
     ),
 }
-# (sample_sync, forward) bytes per epoch; backward mirrors forward, the
-# AllReduce is constant, and staleness moves no bytes.
+# (sample_sync, forward) bytes per epoch; backward mirrors forward at
+# layers 1.. (backward_bytes), the AllReduce is constant, and staleness
+# moves no bytes.
 SAGE_PINNED_BYTES = {
     1.0: [(17160, 183040)] * 5,
     0.5: [(8832, 94208), (8784, 93696), (8784, 93696), (8376, 89344),
@@ -134,7 +143,8 @@ def test_sage_trajectory_matches_pinned(small_graph, small_partition, cls, p):
     digest = hashlib.sha256(b"".join(q.data.tobytes() for q in model.parameters()))
     assert (losses, digest.hexdigest()) == SAGE_PINNED[cls, p]
     assert ledgers == [
-        {"sample_sync": sync, "forward": fwd, "backward": fwd, "reduce": 25728}
+        {"sample_sync": sync, "forward": fwd,
+         "backward": backward_bytes(fwd, model.dims), "reduce": 25728}
         for sync, fwd in SAGE_PINNED_BYTES[p]
     ]
 

@@ -23,6 +23,8 @@ from repro.dist import RTX2080TI_CLUSTER
 from repro.nn import GraphSAGEModel
 from repro.partition import partition_graph
 
+from ..util import assert_backward_mirrors_forward, tagged_pairwise
+
 
 def paired_models(graph, dropout=0.0, layers=2, hidden=16, seed=42):
     a = GraphSAGEModel(
@@ -100,13 +102,15 @@ class TestTrafficInvariance:
         assert t_sync.history.comm_bytes == t_pipe.history.comm_bytes
 
     def test_pairwise_traffic_symmetric_roles(self, small_graph, small_partition):
-        _, model = paired_models(small_graph)
+        _, model = paired_models(small_graph, layers=3)
         t = PipelinedTrainer(
             small_graph, small_partition, model, FullBoundarySampler(), lr=0.01
         )
-        t.train_epoch()
-        # forward bytes from i->j equal backward bytes j->i by design
-        assert t.comm.total_bytes("forward") == t.comm.total_bytes("backward")
+        for _ in range(2):  # the warm-up epoch, then a stale one
+            per_tag = tagged_pairwise(t.comm)
+            t.train_epoch()
+            # backward bytes j->i mirror forward bytes i->j at layers 1..
+            assert_backward_mirrors_forward(per_tag, model.dims)
 
 
 class TestModeledOverlap:

@@ -18,6 +18,8 @@ from repro.dist import RTX2080TI_CLUSTER
 from repro.nn import GCNModel, GraphSAGEModel
 from repro.partition import communication_volume, partition_graph
 
+from ..util import assert_backward_mirrors_forward, tagged_pairwise
+
 
 def make_models(graph, dropout=0.0, layers=2, hidden=16, seed=42):
     """Two models with identical initial weights."""
@@ -101,14 +103,19 @@ class TestCommunicationMetering:
         assert trainer.comm.total_bytes("forward") == expected
 
     def test_backward_mirrors_forward(self, small_graph, small_partition):
-        _, model = make_models(small_graph)
+        """Metered backward traffic == Σ_i |B_i| · Σ_{1≤ℓ<L} d_ℓ · scalar
+        bytes: layer 0's input is data, so no gradient returns for it."""
+        _, model = make_models(small_graph, layers=3)
         trainer = DistributedTrainer(
             small_graph, small_partition, model, FullBoundarySampler()
         )
+        per_tag = tagged_pairwise(trainer.comm)
         trainer.train_epoch()
-        assert trainer.comm.total_bytes("backward") == trainer.comm.total_bytes(
-            "forward"
-        )
+        volume = communication_volume(small_graph.adj, small_partition)
+        width_sum = sum(model.dims[1:-1])  # layer input widths but the first
+        expected = volume * width_sum * trainer.comm.bytes_per_scalar
+        assert trainer.comm.total_bytes("backward") == expected
+        assert_backward_mirrors_forward(per_tag, model.dims)
 
     def test_bns_scales_traffic(self, small_graph, small_partition):
         _, m1 = make_models(small_graph)

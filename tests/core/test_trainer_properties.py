@@ -8,6 +8,8 @@ from repro.core import BoundaryNodeSampler, DistributedTrainer, PartitionRuntime
 from repro.nn import GraphSAGEModel
 from repro.partition import partition_graph
 
+from ..util import assert_backward_mirrors_forward, tagged_pairwise
+
 
 def make_trainer(graph, partition, p, seed):
     model = GraphSAGEModel(
@@ -22,11 +24,19 @@ def make_trainer(graph, partition, p, seed):
 class TestMeteringProperties:
     @given(st.floats(min_value=0.05, max_value=1.0), st.integers(0, 20))
     @settings(max_examples=10, deadline=None)
-    def test_forward_equals_backward(self, p, seed):
+    def test_backward_mirrors_forward(self, p, seed):
+        """Both boundary tags are closed forms in Σ_i |U_i| (read off the
+        id broadcast): forward over every layer input, backward over
+        all but layer 0's, which is data."""
         graph, part = _setup()
         t = make_trainer(graph, part, p, seed)
+        per_tag = tagged_pairwise(t.comm)
         t.train_epoch()
-        assert t.comm.total_bytes("forward") == t.comm.total_bytes("backward")
+        bps, dims = t.comm.bytes_per_scalar, t.model.dims
+        kept = t.comm.total_bytes("sample_sync") // ((t.num_parts - 1) * bps)
+        assert t.comm.total_bytes("forward") == kept * sum(dims[:-1]) * bps
+        assert t.comm.total_bytes("backward") == kept * sum(dims[1:-1]) * bps
+        assert_backward_mirrors_forward(per_tag, dims)
 
     @given(st.floats(min_value=0.05, max_value=1.0), st.integers(0, 20))
     @settings(max_examples=10, deadline=None)

@@ -61,21 +61,25 @@ PINNED_LOSSES = {
                   2.149607755286614, 2.1628096261175123,
                   1.992791838015285],
 }
-# (sample_sync, forward) bytes per epoch; backward mirrors forward and
-# the AllReduce is constant.  Staleness moves traffic in time, not in
-# volume, so both schedules share the ledger.
+# (sample_sync, forward) bytes per epoch; backward mirrors forward at
+# layer 1 only (layer 0's input is data: width 8 of 12 + 8, so 42880 ->
+# 17152) and the AllReduce is constant.  Staleness moves traffic in
+# time, not in volume, so both schedules share the ledger.
 PINNED_BYTES = [(6432, 42880), (6864, 45760), (6912, 46080),
                 (6144, 40960), (6864, 45760)]
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_trajectory_matches_pinned(graph, partition, schedule):
-    result = _executor(graph, partition, schedule).train(5)
+    executor = _executor(graph, partition, schedule)
+    result = executor.train(5)
     np.testing.assert_allclose(
         result.history.loss, PINNED_LOSSES[schedule], rtol=1e-12, atol=0.0
     )
+    dims = executor.model.dims
     assert result.by_tag == [
-        {"sample_sync": sync, "forward": fwd, "backward": fwd, "reduce": 14496}
+        {"sample_sync": sync, "forward": fwd,
+         "backward": fwd * sum(dims[1:-1]) // sum(dims[:-1]), "reduce": 14496}
         for sync, fwd in PINNED_BYTES
     ]
 

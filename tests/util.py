@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,6 +50,35 @@ def check_gradients(
             got, expected, atol=atol, rtol=rtol,
             err_msg=f"gradient mismatch for input {i}",
         )
+
+
+def tagged_pairwise(comm) -> Dict[str, np.ndarray]:
+    """Record ``comm``'s point-to-point sends from now on as one
+    ``(m, m)`` byte matrix per tag (``[src, dst]``); returns the live
+    dict the matrices accumulate into."""
+    m = comm.num_parts
+    per_tag: Dict[str, np.ndarray] = {}
+    send = comm.send
+
+    def recording(src, dst, num_scalars, tag):
+        nbytes = send(src, dst, num_scalars, tag)
+        per_tag.setdefault(tag, np.zeros((m, m), dtype=np.int64))[src, dst] += nbytes
+        return nbytes
+
+    comm.send = recording
+    return per_tag
+
+
+def assert_backward_mirrors_forward(per_tag: Dict[str, np.ndarray], dims) -> None:
+    """Gradients retrace the forward path at every layer but the first
+    (layer 0's input is data): per pair,
+    ``backward[i→j] · Σ_{ℓ<L} d_ℓ == forward[j→i] · Σ_{1≤ℓ<L} d_ℓ``."""
+    forward = per_tag["forward"]
+    backward = per_tag.get("backward", np.zeros_like(forward))
+    assert forward.any()
+    np.testing.assert_array_equal(
+        backward * sum(dims[:-1]), forward.T * sum(dims[1:-1])
+    )
 
 
 def ring_graph(n: int) -> sp.csr_matrix:
