@@ -8,17 +8,16 @@ Submodules:
   forward worklist solver the flow-sensitive passes run on.
 * :mod:`repro.analysis.passes` — dtype-width, metering, kernel-purity
   and determinism passes.
-* :mod:`repro.analysis.concurrency` — discarded-result,
-  blocking-in-lock and project-wide lock-order passes.
+* :mod:`repro.analysis.concurrency` — discarded-result and
+  blocking-in-lock passes.
 * :mod:`repro.analysis.lifecycle` — flow-sensitive resource-lifecycle
   and exception-safety passes (close/unlink/release on every path).
-* :mod:`repro.analysis.typestate` — protocol state tables (data) and
-  the flow-sensitive typestate pass over them.
-* :mod:`repro.analysis.sanitizer` — opt-in runtime checkers: lock
-  order (``REPRO_SANITIZE=locks``), protocol typestate proxies
-  (``REPRO_SANITIZE=protocol``) and the schedule explorer
-  (``REPRO_SANITIZE=schedule``) — the repo's one checker for
-  cross-rank message matching, deadlock and leaked exchange handles.
+* :mod:`repro.analysis.sanitizer` — the opt-in runtime checkers, one
+  per property: lock order (``REPRO_SANITIZE=locks``), the transport
+  protocol tables and the typestate proxies that read them
+  (``REPRO_SANITIZE=protocol``), and the schedule explorer
+  (``REPRO_SANITIZE=schedule``) for cross-rank message matching,
+  deadlock and leaked exchange handles.
 * :mod:`repro.analysis.lint` — the ``repro lint`` CLI.
 """
 
@@ -49,7 +48,9 @@ from .engine import (
 from .lint import run_lint
 from .sanitizer import (
     DeadlockError,
+    PROTOCOLS,
     LockOrderError,
+    Protocol,
     ProtocolError,
     SanitizedLock,
     ScheduleError,
@@ -60,10 +61,10 @@ from .sanitizer import (
     locks_enabled,
     make_lock,
     protocol_enabled,
+    protocol_for_class,
     schedule_enabled,
     wrap_protocol,
 )
-from .typestate import PROTOCOLS, Protocol, protocol_for_class
 
 __all__ = [
     "CFG",

@@ -1,4 +1,4 @@
-"""Concurrency passes: discarded timed waits, lock bodies, lock order.
+"""Concurrency passes: discarded timed waits and lock bodies.
 
 ``transport.py`` is ~1.6k lines of locks, condvars and sender threads,
 and its one shipped concurrency bug (PR 4's discarded
@@ -19,42 +19,25 @@ and its one shipped concurrency bug (PR 4's discarded
     ``# repro-lint: ignore[blocking-in-lock]`` on the ``with`` line and
     say why in the comment.
 
-``lock-order``
-    Statically extracts the lock-acquisition nesting graph (``with A:
-    with B:`` ⇒ edge A→B, per function, across all linted files) and
-    reports cycles — the AB/BA shape that deadlocks the moment two
-    threads interleave.  Lock identity is the normalised source text of
-    the context expression with subscripts wildcarded, so two elements
-    of one lock table (``locks[i]`` / ``locks[j]``) count as the same
-    lock *class*: nesting a class inside itself is an inversion waiting
-    for the right pair of indices.  The runtime mirror of this pass is
-    :mod:`repro.analysis.sanitizer`, which checks observed per-thread
-    acquisition order on live instances.
+Lock *order* has no static pass: the ``REPRO_SANITIZE=locks``
+sanitizer (:mod:`repro.analysis.sanitizer`) checks the observed
+acquisition order on live locks.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Set, Tuple
+from typing import List
 
 from .engine import Diagnostic, LintPass, SourceModule, register_pass
 
 __all__ = [
     "DiscardedResultPass",
     "BlockingInLockPass",
-    "LockOrderPass",
-    "extract_lock_edges",
 ]
 
 _LOCKISH_RE = re.compile(r"lock", re.IGNORECASE)
-_SUBSCRIPT_RE = re.compile(r"\[[^\]]*\]")
-
-
-def _lock_key(text: str) -> str:
-    """Normalised lock identity: whitespace stripped, subscripts
-    wildcarded (two elements of one lock table are one lock class)."""
-    return _SUBSCRIPT_RE.sub("[*]", re.sub(r"\s+", "", text))
 
 
 class DiscardedResultPass(LintPass):
@@ -157,104 +140,5 @@ class BlockingInLockPass(LintPass):
         return out
 
 
-def extract_lock_edges(
-    module: SourceModule,
-) -> List[Tuple[str, str, ast.With]]:
-    """(outer, inner, inner-with-node) for every nested lock pair.
-
-    Nesting is tracked per function body, one level of ``with`` at a
-    time; edges are emitted for *every* held outer lock, so ``with a:
-    with b: with c:`` yields a→b, a→c and b→c.
-    """
-    edges: List[Tuple[str, str, ast.With]] = []
-
-    def visit(node, held: List[str]):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, [])  # fresh stack per function
-                continue
-            if isinstance(child, ast.With):
-                acquired = [
-                    _lock_key(module.segment(item.context_expr))
-                    for item in child.items
-                    if _LOCKISH_RE.search(module.segment(item.context_expr))
-                ]
-                for inner in acquired:
-                    for outer in held:
-                        edges.append((outer, inner, child))
-                # Multiple lockish items in one `with` acquire in order.
-                for i, inner in enumerate(acquired):
-                    for outer in acquired[:i]:
-                        edges.append((outer, inner, child))
-                visit(child, held + acquired)
-                continue
-            visit(child, held)
-
-    visit(module.tree, [])
-    return edges
-
-
-class LockOrderPass(LintPass):
-    rule = "lock-order"
-    title = "the static lock-acquisition graph stays acyclic"
-    description = (
-        "nested 'with lock:' statements define an order, project-wide; "
-        "a cycle (AB/BA) deadlocks the first time two threads interleave"
-    )
-    project_wide = True  # the graph spans transport.py AND executor.py
-
-    _HINT = (
-        "impose one global acquisition order (acquire the cycle's locks "
-        "in a fixed sequence everywhere) or collapse to a single lock; "
-        "run the shm suites under REPRO_SANITIZE=locks to catch the "
-        "inversion at runtime"
-    )
-
-    def run_project(self, modules) -> List[Diagnostic]:
-        graph: Dict[str, Set[str]] = {}
-        sites: Dict[Tuple[str, str], Tuple[SourceModule, ast.With]] = {}
-        for module in modules:
-            for outer, inner, node in extract_lock_edges(module):
-                graph.setdefault(outer, set()).add(inner)
-                sites.setdefault((outer, inner), (module, node))
-
-        def reaches(src: str, dst: str, seen: Set[str]) -> bool:
-            if src == dst:
-                return True
-            seen.add(src)
-            return any(
-                nxt not in seen and reaches(nxt, dst, seen)
-                for nxt in graph.get(src, ())
-            )
-
-        out: List[Diagnostic] = []
-        reported: Set[Tuple[str, str]] = set()
-        for (outer, inner), (module, node) in sorted(
-            sites.items(), key=lambda kv: (kv[1][0].path, kv[1][1].lineno)
-        ):
-            if (inner, outer) in reported:
-                continue
-            if outer == inner:
-                out.append(self.diag(
-                    module, node,
-                    f"lock class {outer!r} nested inside itself — an "
-                    "inversion for the right pair of instances",
-                    self._HINT,
-                ))
-                reported.add((outer, inner))
-            elif reaches(inner, outer, set()):
-                other = sites[(inner, outer)]
-                out.append(self.diag(
-                    module, node,
-                    f"lock-order cycle: {outer!r} → {inner!r} here, but "
-                    f"{inner!r} → … → {outer!r} (see "
-                    f"{other[0].path}:{other[1].lineno})",
-                    self._HINT,
-                ))
-                reported.add((outer, inner))
-        return out
-
-
 register_pass(DiscardedResultPass())
 register_pass(BlockingInLockPass())
-register_pass(LockOrderPass())

@@ -4,9 +4,9 @@ PR 8's passes are pattern matchers: they can say "this call looks
 wrong" but not "this resource never reaches ``close()`` on the path
 where the recv raises".  This module adds the missing half — a small
 control-flow graph builder over function bodies and a generic forward
-worklist solver — so flow-sensitive passes (:mod:`.lifecycle`,
-:mod:`.typestate`) can reason about *paths*, including the exceptional
-ones the elastic-training rewrite will mint by the dozen.
+worklist solver — so flow-sensitive passes (:mod:`.lifecycle`) can
+reason about *paths*, including the exceptional ones the
+elastic-training rewrite will mint by the dozen.
 
 Design notes (the approximations are deliberate and documented):
 

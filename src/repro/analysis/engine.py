@@ -219,23 +219,13 @@ class LintPass:
     suppressions use) and implement :meth:`run`.  The shared
     :meth:`diag` helper stamps the path/line/col/line-text so every
     pass reports identically.
-
-    A pass whose invariant spans files (the lock-order graph) sets
-    :attr:`project_wide` and implements :meth:`run_project` instead —
-    it sees every module at once and is called exactly once per run.
     """
 
     rule: str = "base"
     title: str = ""
     description: str = ""
-    project_wide: bool = False
 
     def run(self, module: SourceModule) -> List[Diagnostic]:
-        raise NotImplementedError
-
-    def run_project(
-        self, modules: Sequence[SourceModule]
-    ) -> List[Diagnostic]:
         raise NotImplementedError
 
     def diag(self, module: SourceModule, node: ast.AST, message: str,
@@ -314,7 +304,6 @@ def _ensure_builtin_passes() -> None:
         concurrency,
         lifecycle,
         passes,
-        typestate,
     )
 
 
@@ -359,15 +348,8 @@ def run_passes(
 
     for lint_pass in passes:
         started = time.perf_counter()
-        if lint_pass.project_wide:
-            findings.extend(
-                d for d in lint_pass.run_project(modules) if keep(d)
-            )
-        else:
-            for module in modules:
-                findings.extend(
-                    d for d in lint_pass.run(module) if keep(d)
-                )
+        for module in modules:
+            findings.extend(d for d in lint_pass.run(module) if keep(d))
         if timings is not None:
             timings.append(
                 (lint_pass.rule, time.perf_counter() - started)

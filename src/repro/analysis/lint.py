@@ -8,7 +8,7 @@ Usage (via the top-level CLI)::
     repro lint --strict             # also fail on stale baseline entries
     repro lint --update-baseline    # freeze current findings
     repro lint --list-passes        # rule catalogue
-    repro lint --select dtype-width,lock-order src/repro/dist
+    repro lint --select dtype-width,blocking-in-lock src/repro/dist
     repro lint --paths src,benchmarks  # same as positional targets
 
 Exit codes: 0 clean (or all findings baselined), 1 new findings (or,
@@ -215,8 +215,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.list_passes:
         for lint_pass in get_passes():
-            scope = "project" if lint_pass.project_wide else "module"
-            print(f"{lint_pass.rule:<18} [{scope}] {lint_pass.title}")
+            print(f"{lint_pass.rule:<18} {lint_pass.title}")
             if lint_pass.description:
                 print(f"{'':<18}   {lint_pass.description}")
         return 0

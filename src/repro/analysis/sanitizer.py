@@ -1,17 +1,17 @@
-"""Runtime lock-order sanitizer: the dynamic mirror of ``lock-order``.
+"""Runtime sanitizers: the repo's checkers for lock order, object
+protocols and cross-rank schedules.
 
-The static :class:`~repro.analysis.concurrency.LockOrderPass` proves the
-*source* never nests ``with A: with B:`` against ``with B: with A:``.
-This module checks the *observed* order on live lock instances, which
-catches what static analysis cannot: inversions routed through
-callbacks, inversions between locks the linter could not name, and
-inversions that only two particular threads interleave into.
+Each is enabled by one token of ``REPRO_SANITIZE`` (a comma-separated
+list) and costs nothing when off.  They check live objects, so they
+see what no reading of the source can: inversions routed through
+callbacks, violations only a second thread produces, and schedules
+only one seed interleaves into.
 
-Design: :func:`make_lock` is the factory the transport/executor layers
-call wherever they used to call ``threading.Lock()``.  When sanitising
-is off (the default — ``REPRO_SANITIZE`` unset or without ``locks``),
-it returns a plain ``threading.Lock`` and costs nothing.  When on, it
-returns a :class:`SanitizedLock` that
+The ``locks`` token.  :func:`make_lock` is the factory the
+transport/executor layers call wherever they used to call
+``threading.Lock()``.  When sanitising is off (the default —
+``REPRO_SANITIZE`` unset or without ``locks``), it returns a plain
+``threading.Lock``.  When on, it returns a :class:`SanitizedLock` that
 
 * keeps a thread-local stack of currently-held sanitized locks, and
 * maintains one process-global order graph: first time lock *A* is
@@ -23,44 +23,44 @@ returns a :class:`SanitizedLock` that
 
 Order is tracked per lock *name* (the label passed to
 :func:`make_lock`), so two instances created at the same site — one
-per ring, say — form one order class, matching the static pass's
-subscript-wildcarding.  The graph is intentionally never pruned on
-release: lock order is a program-wide law, not a per-window one.
-
-Enable with ``REPRO_SANITIZE=locks`` (comma-separated list).  Tests
-use :func:`reset` to clear the global graph between cases and
-:func:`install_sanitizer`/:func:`locks_enabled` to force the mode
+per ring, say — form one order class, and nesting a class inside
+itself is reported as self-nesting.  The graph is intentionally never
+pruned on release: lock order is a program-wide law, not a per-window
+one.  Tests use :func:`reset` to clear the global graph between cases
+and :func:`install_sanitizer`/:func:`locks_enabled` to force the mode
 without touching the environment.
 
-The ``schedule`` token enables the third sanitizer in this module, the
-repo's one checker for cross-rank communication: message matching,
-deadlock and leaked exchange handles.  :func:`begin_schedule_exploration`
-gives ``LocalTransport`` a :class:`ScheduleExplorer` whose channels use
-*rendezvous* semantics — a send does not complete until its receive
-happens (the MPI-strict model) — plus a deterministic, seed-driven
-jitter at every blocking point so different ``REPRO_SCHEDULE_SEED``
-values explore different interleavings.  A confirmed cross-rank wait
-cycle (or a rank blocking on a peer that already returned) raises
-:class:`DeadlockError` with a replayable schedule trace instead of
-hanging; a rank that returns with a posted exchange handle it never
-completed raises :class:`ScheduleError`; a tag mismatch still fails at
-delivery through the transport's own check, which the explorer's
-schedules reach.
-
-The ``protocol`` token enables the second sanitizer in this module:
-the runtime mirror of the static ``typestate`` pass.
+The ``protocol`` token.  The transport layer's objects have
+*protocols*, not just APIs: an endpoint is driven ``exchange* ->
+close`` and must never move bytes after ``close``; an exchange handle
+is completed exactly once; a transport must not have ``launch``
+re-entered while a launch is in flight.  :data:`PROTOCOLS` declares
+those protocols as data — a start state plus a ``(state, event) ->
+state`` table — and :class:`TypestateProxy` is their reader.
 :func:`wrap_protocol` wraps a live transport/endpoint/handle in a
-:class:`TypestateProxy` that advances the *same* state tables
-(:data:`repro.analysis.typestate.PROTOCOLS`) on every protocol-event
-method call and raises :class:`ProtocolError` at the first illegal
-transition — ``send`` on a closed endpoint, a handle completed twice,
-``launch`` re-entered while one is in flight.  Unlike the static pass
-(which sees whole call statements), the proxy advances ``e`` on entry
-and the paired ``e_done`` on return, so *re-entrant* violations that
-only a second thread can produce are caught too.  Proxies forward
-everything else untouched, report the wrapped object's ``__class__``
-(``isinstance`` keeps working), and unwrap proxied arguments before
-forwarding, so transports cannot observe the difference.
+proxy that advances its table on every protocol-event method call and
+raises :class:`ProtocolError` at the first illegal transition.  An
+event ``e`` whose completion matters separately (``launch``) declares
+a paired ``e_done`` transition: the proxy advances ``e`` on entry and
+``e_done`` on return, so a sequential re-launch is legal while a
+re-entrant one raises.  Proxies forward everything else untouched,
+report the wrapped object's ``__class__`` (``isinstance`` keeps
+working), and unwrap proxied arguments before forwarding, so
+transports cannot observe the difference.
+
+The ``schedule`` token enables the repo's one checker for cross-rank
+communication: message matching, deadlock and leaked exchange
+handles.  :func:`begin_schedule_exploration` gives ``LocalTransport``
+a :class:`ScheduleExplorer` whose channels use *rendezvous* semantics
+— a send does not complete until its receive happens (the MPI-strict
+model) — plus a deterministic, seed-driven jitter at every blocking
+point so different ``REPRO_SCHEDULE_SEED`` values explore different
+interleavings.  A confirmed cross-rank wait cycle (or a rank blocking
+on a peer that already returned) raises :class:`DeadlockError` with a
+replayable schedule trace instead of hanging; a rank that returns with
+a posted exchange handle it never completed raises
+:class:`ScheduleError`; a tag mismatch still fails at delivery through
+the transport's own check, which the explorer's schedules reach.
 """
 
 from __future__ import annotations
@@ -70,12 +70,15 @@ import os
 import threading
 import time
 import zlib
+from dataclasses import dataclass, field
 from queue import Empty
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 __all__ = [
     "DeadlockError",
     "LockOrderError",
+    "PROTOCOLS",
+    "Protocol",
     "ProtocolError",
     "SanitizedLock",
     "ScheduleError",
@@ -89,6 +92,7 @@ __all__ = [
     "locks_enabled",
     "make_lock",
     "protocol_enabled",
+    "protocol_for_class",
     "reset",
     "reset_graph",
     "schedule_checkpoint",
@@ -290,6 +294,117 @@ def make_lock(name: str):
 # ----------------------------------------------------------------------
 # Protocol (typestate) sanitizer
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Protocol:
+    """One object protocol: a state machine over method-call events.
+
+    ``constructors`` name what creates an instance in ``start``:
+    class-name patterns (a leading ``*`` matches a name suffix, so
+    ``"*Endpoint"`` covers every endpoint class) and/or producer
+    methods written ``".method"`` (``".post_exchange"`` — the *result*
+    of the call is the protocol object).  ``arg_events`` map a method
+    name to an event applied to that call's first argument
+    (``complete_exchange(handle)`` advances the *handle*).  Events
+    appearing in no transition from the current state are illegal;
+    ``errors`` supplies the human message for the pairs worth
+    explaining.
+    """
+
+    name: str
+    start: str
+    constructors: Tuple[str, ...]
+    transitions: Mapping[Tuple[str, str], str]
+    errors: Mapping[Tuple[str, str], str] = field(default_factory=dict)
+    arg_events: Mapping[str, str] = field(default_factory=dict)
+
+    @property
+    def alphabet(self) -> FrozenSet[str]:
+        return frozenset(e for _s, e in self.transitions) | frozenset(
+            e for _s, e in self.errors
+        )
+
+    def advance(self, state: str, event: str) -> Tuple[Optional[str], str]:
+        """``(new_state, "")`` on a legal event, ``(None, message)`` on
+        an illegal one."""
+        if event not in self.alphabet:
+            return state, ""  # not a protocol event — no state change
+        nxt = self.transitions.get((state, event))
+        if nxt is None:
+            message = self.errors.get(
+                (state, event),
+                f"{event}() is illegal in state {state!r}",
+            )
+            return None, message
+        return nxt, ""
+
+
+_DATA_OPS = ("send", "isend", "recv", "exchange", "post_exchange",
+             "complete_exchange", "allreduce")
+
+#: The transport-layer protocol tables.  Declared as plain data so a
+#: new state or event is a new row, not new checker code.
+ENDPOINT_PROTOCOL = Protocol(
+    name="endpoint",
+    start="open",
+    constructors=("*Endpoint",),
+    transitions={
+        **{("open", op): "open" for op in _DATA_OPS},
+        ("open", "close"): "closed",
+    },
+    errors={
+        **{("closed", op): f"{op}() on a closed endpoint"
+           for op in _DATA_OPS},
+        ("closed", "close"): "endpoint closed twice",
+    },
+)
+
+TRANSPORT_PROTOCOL = Protocol(
+    name="transport",
+    start="idle",
+    constructors=("*Transport",),
+    transitions={
+        ("idle", "launch"): "launching",
+        ("launching", "launch_done"): "idle",
+    },
+    errors={
+        ("launching", "launch"): (
+            "double-launch: launch() re-entered while a launch is "
+            "already in flight on this transport"
+        ),
+    },
+)
+
+EXCHANGE_HANDLE_PROTOCOL = Protocol(
+    name="exchange-handle",
+    start="posted",
+    constructors=(".post_exchange",),
+    transitions={("posted", "complete"): "completed"},
+    errors={
+        ("completed", "complete"): "exchange handle completed twice",
+    },
+    arg_events={"complete_exchange": "complete"},
+)
+
+PROTOCOLS: Tuple[Protocol, ...] = (
+    ENDPOINT_PROTOCOL,
+    TRANSPORT_PROTOCOL,
+    EXCHANGE_HANDLE_PROTOCOL,
+)
+
+
+def protocol_for_class(class_name: str) -> Optional[Protocol]:
+    """The protocol (if any) governing instances of ``class_name``
+    (an exact or ``"*suffix"`` constructor pattern) — the lookup
+    :func:`wrap_protocol` makes when wrapping a live object."""
+    for protocol in PROTOCOLS:
+        for pattern in protocol.constructors:
+            if class_name == pattern or (
+                pattern.startswith("*") and class_name.endswith(pattern[1:])
+            ):
+                return protocol
+    return None
+
+
 class ProtocolError(RuntimeError):
     """An observed illegal typestate transition on a live object."""
 
@@ -330,7 +445,7 @@ class TypestateProxy:
         lock = object.__getattribute__(self, "_ts_lock")
         with lock:
             state = object.__getattribute__(self, "_ts_state")
-            nxt, message = protocol.advance(state, event, auto_done=False)
+            nxt, message = protocol.advance(state, event)
             if nxt is None:
                 obj = object.__getattribute__(self, "_ts_obj")
                 raise ProtocolError(
@@ -364,7 +479,7 @@ class TypestateProxy:
         # ``.method`` constructor patterns: this call *produced* a
         # protocol object (post_exchange -> an exchange handle).
         if result is not None:
-            for table in _protocol_tables():
+            for table in PROTOCOLS:
                 if "." + method in table.constructors:
                     return wrap_protocol(result, table)
         return wrap_protocol(result)
@@ -376,7 +491,7 @@ class TypestateProxy:
         if callable(value) and not name.startswith("__"):
             protocol = object.__getattribute__(self, "_ts_protocol")
             if name in protocol.alphabet or any(
-                name in p.arg_events for p in _protocol_tables()
+                name in p.arg_events for p in PROTOCOLS
             ):
                 def guarded(*args, **kwargs):
                     return TypestateProxy._ts_call(
@@ -398,12 +513,6 @@ class TypestateProxy:
         return f"TypestateProxy({obj!r}, state={state!r})"
 
 
-def _protocol_tables():
-    from .typestate import PROTOCOLS
-
-    return PROTOCOLS
-
-
 def wrap_protocol(obj, protocol=None):
     """``obj`` wrapped in a :class:`TypestateProxy` when the protocol
     sanitizer is on and a table governs its class; ``obj`` unchanged
@@ -415,8 +524,6 @@ def wrap_protocol(obj, protocol=None):
     if not protocol_enabled() or isinstance(obj, TypestateProxy):
         return obj
     if protocol is None:
-        from .typestate import protocol_for_class
-
         protocol = protocol_for_class(type(obj).__name__)
     if protocol is None:
         return obj

@@ -19,7 +19,8 @@ default), exchanging boundary features/gradients for real:
 
 ``lint`` runs the repo's invariant static-analysis passes (dtype-width
 discipline, metering discipline, kernel purity, concurrency hygiene,
-lock-order, determinism) over ``src/`` and ``benchmarks/``:
+determinism, resource lifecycle, exception safety) over ``src/`` and
+``benchmarks/``:
 
     python -m repro lint --strict
 """

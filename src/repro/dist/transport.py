@@ -271,10 +271,6 @@ class Transport:
     def pairwise(self) -> np.ndarray:
         return self.meter.pairwise
 
-    @property
-    def _by_tag(self) -> Dict[str, int]:  # backwards-compatible alias
-        return self.meter.by_tag
-
     def reset(self) -> None:
         self.meter.reset()
 

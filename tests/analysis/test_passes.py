@@ -266,100 +266,6 @@ class TestBlockingInLock:
         assert found == []
 
 
-class TestLockOrder:
-    RULE = ["lock-order"]
-
-    def test_ab_ba_cycle_flagged(self):
-        found = lint(
-            """
-            def f(self):
-                with self.lock_a:
-                    with self.lock_b:
-                        pass
-
-            def g(self):
-                with self.lock_b:
-                    with self.lock_a:
-                        pass
-            """,
-            self.RULE,
-        )
-        assert len(found) == 1
-        assert found[0].rule == "lock-order"
-        assert "cycle" in found[0].message
-
-    def test_cycle_across_modules_flagged(self):
-        mod_a = SourceModule.from_source(
-            textwrap.dedent(
-                """
-                def f(self):
-                    with self.lock_a:
-                        with self.lock_b:
-                            pass
-                """
-            ),
-            path="a.py",
-        )
-        mod_b = SourceModule.from_source(
-            textwrap.dedent(
-                """
-                def g(self):
-                    with self.lock_b:
-                        with self.lock_a:
-                            pass
-                """
-            ),
-            path="b.py",
-        )
-        found = run_passes([mod_a, mod_b], get_passes(self.RULE))
-        assert len(found) == 1
-        # The diagnostic names the other site so the cycle is traceable.
-        assert "a.py" in found[0].message or found[0].path == "a.py"
-
-    def test_self_nesting_flagged(self):
-        found = lint(
-            """
-            def f(self):
-                with self.locks[i]:
-                    with self.locks[j]:
-                        pass
-            """,
-            self.RULE,
-        )
-        assert len(found) == 1
-        assert "nested inside itself" in found[0].message
-
-    def test_consistent_order_clean(self):
-        found = lint(
-            """
-            def f(self):
-                with self.lock_a:
-                    with self.lock_b:
-                        pass
-
-            def g(self):
-                with self.lock_a:
-                    with self.lock_b:
-                        pass
-            """,
-            self.RULE,
-        )
-        assert found == []
-
-    def test_unnested_locks_clean(self):
-        found = lint(
-            """
-            def f(self):
-                with self.lock_a:
-                    pass
-                with self.lock_b:
-                    pass
-            """,
-            self.RULE,
-        )
-        assert found == []
-
-
 class TestDeterminism:
     RULE = ["determinism"]
 
@@ -435,9 +341,9 @@ class TestDeterminism:
 
 @pytest.mark.parametrize("rule", [
     "dtype-width", "metering", "kernel-purity", "discarded-result",
-    "blocking-in-lock", "lock-order", "determinism",
+    "blocking-in-lock", "determinism",
     # Flow-sensitive (CFG) rules — fixtures in test_flow_passes.py.
-    "lifecycle", "exception-safety", "typestate",
+    "lifecycle", "exception-safety",
 ])
 def test_every_registered_pass_has_a_fixture_class(rule):
     """Meta-check: the parametrised rule list above must cover exactly
@@ -450,7 +356,7 @@ def test_no_registered_pass_lacks_fixtures():
     from repro.analysis.engine import pass_names
     covered = {
         "dtype-width", "metering", "kernel-purity", "discarded-result",
-        "blocking-in-lock", "lock-order", "determinism",
-        "lifecycle", "exception-safety", "typestate",
+        "blocking-in-lock", "determinism",
+        "lifecycle", "exception-safety",
     }
     assert set(pass_names()) == covered

@@ -148,8 +148,10 @@ def test_cli_list_passes(capsys):
     assert lint_main(["--list-passes"]) == 0
     out = capsys.readouterr().out
     assert "dtype-width" in out
-    assert "lock-order" in out
-    assert "[project]" in out  # lock-order is the project-wide pass
+    assert "blocking-in-lock" in out
+    assert "[project]" not in out and "[module]" not in out
+    assert len([line for line in out.splitlines()
+                if not line.startswith(" ")]) == 8
 
 
 def test_cli_select_subset(tmp_path, capsys):

@@ -1,7 +1,10 @@
-"""Runtime lock-order sanitizer: inversions raise, clean order passes."""
+"""Runtime lock-order and protocol sanitizers: inversions and illegal
+transitions raise, clean order and legal traffic pass."""
 
+import os
 import threading
 
+import numpy as np
 import pytest
 
 from repro.analysis import sanitizer
@@ -12,6 +15,13 @@ from repro.analysis.sanitizer import (
     locks_enabled,
     make_lock,
 )
+from repro.dist.transport import (
+    LocalTransport,
+    MultiprocessTransport,
+    SharedMemoryTransport,
+    TransportError,
+)
+from repro.tensor import get_default_dtype
 
 
 @pytest.fixture(autouse=True)
@@ -104,6 +114,18 @@ class TestOrderChecking:
             with a:
                 with b:
                     pass
+
+    def test_unnested_acquisitions_record_no_order(self):
+        # Taking A and then B one after the other orders nothing, so a
+        # later B→A nesting is not an inversion.
+        a, b = SanitizedLock("A"), SanitizedLock("B")
+        with a:
+            pass
+        with b:
+            pass
+        with b:
+            with a:
+                pass
 
     def test_same_name_instances_share_order_class(self):
         # Two rings' conn locks share a name: nesting one inside the
@@ -285,3 +307,90 @@ class TestTypestateProxy:
         assert ep.sent == raw.sent
         ep.extra = 7  # settattr forwards to the wrapped object
         assert raw.extra == 7
+
+
+def _transport(kind):
+    cls = {"local": LocalTransport, "multiprocess": MultiprocessTransport,
+           "shm": SharedMemoryTransport}[kind]
+    return cls(2, recv_timeout=5.0)
+
+
+_REAL_KINDS = [
+    "local",
+    "multiprocess",
+    pytest.param("shm", marks=pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="/dev/shm not available")),
+]
+
+
+def _payload():
+    return np.arange(3, dtype=get_default_dtype())
+
+
+def _close_then_send(ep, _):
+    ep.close()
+    ep.send(1 - ep.rank, _payload(), "x")
+
+
+def _close_twice(ep, _):
+    ep.close()
+    ep.close()
+
+
+def _complete_twice(ep, _):
+    peer = 1 - ep.rank
+    handle = ep.post_exchange({peer: _payload()}, [peer], "x")
+    ep.complete_exchange(handle)
+    ep.complete_exchange(handle)
+
+
+def _rank_of(ep, _):
+    return ep.rank
+
+
+class TestProtocolOnRealTransports:
+    """The protocol tables enforced on real endpoints and handles: a
+    worker's violation fails its launch with the ProtocolError as the
+    reason.  A thread rank chains the error itself (``__cause__``); a
+    process rank ships its traceback text back to the parent."""
+
+    @pytest.fixture(autouse=True)
+    def enabled(self):
+        sanitizer.install_protocol_sanitizer(True)
+        yield
+
+    @pytest.mark.parametrize("kind", _REAL_KINDS)
+    @pytest.mark.parametrize("worker, message", [
+        (_close_then_send, "send() on a closed endpoint"),
+        (_close_twice, "endpoint closed twice"),
+        (_complete_twice, "exchange handle completed twice"),
+    ])
+    def test_violation_fails_the_launch(self, kind, worker, message):
+        with pytest.raises(TransportError) as excinfo:
+            _transport(kind).launch(worker, timeout=30.0)
+        if kind == "local":
+            cause = excinfo.value.__cause__
+            assert isinstance(cause, sanitizer.ProtocolError)
+            assert message in str(cause)
+        assert "ProtocolError" in str(excinfo.value)
+        assert message in str(excinfo.value)
+
+    @pytest.mark.parametrize("kind", _REAL_KINDS)
+    def test_sequential_relaunch_legal(self, kind):
+        # launch → launch_done → launch again is the legal cycle; only a
+        # launch re-entered while one is in flight is a double-launch.
+        transport = sanitizer.wrap_protocol(_transport(kind))
+        assert type(transport) is sanitizer.TypestateProxy
+        for _ in range(2):
+            assert transport.launch(_rank_of, timeout=30.0) == [0, 1]
+
+    @pytest.mark.parametrize("kind", _REAL_KINDS)
+    def test_legal_traffic_passes(self, kind):
+        def worker(ep, _):
+            peer = 1 - ep.rank
+            handle = ep.post_exchange({peer: _payload()}, [peer], "x")
+            got = ep.complete_exchange(handle)[peer]
+            return float(ep.allreduce(got, "reduce").sum())
+
+        assert _transport(kind).launch(worker, timeout=30.0) == [6.0, 6.0]
+

@@ -88,7 +88,7 @@ class TestPairwiseLedgerReconciliation:
         assert np.diag(comm.pairwise).sum() == 0
         # pairwise and the tag ledger are two views of the same bytes
         assert comm.pairwise.sum() == comm.total_bytes()
-        assert sum(comm._by_tag.values()) == comm.total_bytes()
+        assert sum(comm.meter.by_tag.values()) == comm.total_bytes()
         for tag in TAGS:
             assert comm.total_bytes(tag) == by_tag.get(tag, 0)
         # per-rank sent/received marginals
@@ -109,7 +109,7 @@ class TestPairwiseLedgerReconciliation:
         assert comm.pairwise is pairwise_buffer
         assert comm.pairwise.sum() == 0
         assert comm.total_bytes() == 0
-        assert comm._by_tag == {}
+        assert comm.meter.by_tag == {}
 
     @given(m=st.integers(1, 8), n=st.integers(0, 1000))
     @settings(max_examples=100, deadline=None)

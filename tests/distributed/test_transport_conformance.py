@@ -467,9 +467,9 @@ class TestDtypeConformance:
                     comm.broadcast(*op[1:])
                 else:
                     comm.allreduce(op[1], op[2])
-        assert set(sim64._by_tag) == set(sim32._by_tag)
-        for tag, nbytes in sim64._by_tag.items():
-            assert nbytes == 2 * sim32._by_tag[tag], tag
+        assert set(sim64.meter.by_tag) == set(sim32.meter.by_tag)
+        for tag, nbytes in sim64.meter.by_tag.items():
+            assert nbytes == 2 * sim32.meter.by_tag[tag], tag
         assert (sim64.pairwise == 2 * sim32.pairwise).all()
 
     def test_mismatched_float_payload_rejected(self):
