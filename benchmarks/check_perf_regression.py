@@ -29,11 +29,11 @@ problem sizes, so the comparison sticks to quantities that travel:
   ratio that travels).  A regression here means the operator stopped
   serving the cached merged CSR and every epoch went back to paying
   the two-pass split gap;
-* **the zero-copy invariant** — shared-memory AllReduce must stay
-  faster than the pipe-based multiprocess transport in the *committed*
-  baseline's ``transport_allreduce`` section: the committed
+* **the zero-copy invariant** — shared-memory ring AllReduce must
+  stay faster than the pipe-based multiprocess transport in the
+  *committed* baseline's ``transport_allreduce`` section: the committed
   ``multiprocess/shm`` speedup (same machine, same run) must be at
-  least ``--shm-speedup-tolerance`` for both ring and tree.  A
+  least ``--shm-speedup-tolerance``.  A
   violation means someone refreshed the baseline with a shm data
   plane that re-grew serialization or copies.
 
@@ -87,10 +87,10 @@ def main() -> int:
                          "smoke-size noise, tight enough to catch the "
                          "fused path regressing to two-pass cost")
     ap.add_argument("--shm-speedup-tolerance", type=float, default=None,
-                    help="minimum multiprocess/shm AllReduce speedup the "
-                         "committed baseline's transport_allreduce section "
-                         "must show, for both ring and tree (omit to skip "
-                         "the gate; the acceptance bar is 2.0)")
+                    help="minimum multiprocess/shm ring AllReduce speedup "
+                         "the committed baseline's transport_allreduce "
+                         "section must show (omit to skip the gate; the "
+                         "acceptance bar is 2.0)")
     ap.add_argument("--blocked-margin", type=float, default=0.10,
                     help="additive noise margin on the blocked-fraction "
                          "invariant — wide enough that scheduler jitter "
@@ -163,26 +163,25 @@ def main() -> int:
                 "the shm speedup gate against"
             )
         else:
-            for algorithm in ("ring", "tree"):
-                try:
-                    mp_ms = float(allreduce[f"multiprocess_{algorithm}_ms"])
-                    shm_ms = float(allreduce[f"shm_{algorithm}_ms"])
-                except KeyError as exc:
-                    failures.append(
-                        f"baseline transport_allreduce lacks {exc} — "
-                        "refresh BENCH_sampling.json with the shm bench"
-                    )
-                    continue
+            try:
+                mp_ms = float(allreduce["multiprocess_ring_ms"])
+                shm_ms = float(allreduce["shm_ring_ms"])
+            except KeyError as exc:
+                failures.append(
+                    f"baseline transport_allreduce lacks {exc} — "
+                    "refresh BENCH_sampling.json with the shm bench"
+                )
+            else:
                 speedup = mp_ms / shm_ms
                 print(
-                    f"shm allreduce [{algorithm}]: multiprocess "
+                    f"shm allreduce [ring]: multiprocess "
                     f"{mp_ms:.3f} ms / shm {shm_ms:.3f} ms = "
                     f"{speedup:.2f}x  required >= "
                     f"{args.shm_speedup_tolerance:.2f}x"
                 )
                 if speedup < args.shm_speedup_tolerance:
                     failures.append(
-                        f"zero-copy regression [{algorithm}]: committed "
+                        f"zero-copy regression [ring]: committed "
                         f"shm AllReduce is only {speedup:.2f}x faster "
                         "than multiprocess, below "
                         f"{args.shm_speedup_tolerance}x"

@@ -391,7 +391,7 @@ def time_e2e_epoch(nodes: int, parts: int, epochs: int, seed: int,
 
 def _allreduce_bench_worker(ep, task):
     """One rank's timed AllReduce loop (module-level for process spawn)."""
-    scalars, reps, algorithm = task
+    scalars, reps = task
     # Payload width must match what the transport meters (the data
     # plane enforces metered == shipped).
     from repro.tensor import float_dtype_for_nbytes
@@ -400,10 +400,10 @@ def _allreduce_bench_worker(ep, task):
         scalars, float(ep.rank + 1),
         dtype=float_dtype_for_nbytes(ep.bytes_per_scalar),
     )
-    out = ep.allreduce(data, "bench", algorithm=algorithm)  # warm-up
+    out = ep.allreduce(data, "bench")  # warm-up
     t0 = time.perf_counter()
     for _ in range(reps):
-        out = ep.allreduce(data, "bench", algorithm=algorithm)
+        out = ep.allreduce(data, "bench")
     elapsed = time.perf_counter() - t0
     expected = ep.num_parts * (ep.num_parts + 1) / 2.0
     assert np.allclose(out, expected), "allreduce produced a wrong sum"
@@ -411,7 +411,7 @@ def _allreduce_bench_worker(ep, task):
 
 
 def time_transports(parts: int, scalars: int, reps: int) -> dict:
-    """Per-AllReduce wall time on the three data-moving transports.
+    """Per-ring-AllReduce wall time on the three data-moving transports.
 
     The simulated path is the 0-cost reference (metering only); the
     local, multiprocess and shm numbers show what the wire actually
@@ -429,19 +429,16 @@ def time_transports(parts: int, scalars: int, reps: int) -> dict:
     for name, cls in (("local", LocalTransport),
                       ("multiprocess", MultiprocessTransport),
                       ("shm", SharedMemoryTransport)):
-        for algorithm in ("ring", "tree"):
-            transport = cls(parts, recv_timeout=60.0)
-            per_rank = transport.launch(
-                _allreduce_bench_worker,
-                [(scalars, reps, algorithm)] * parts,
-                timeout=300.0,
-            )
-            seconds = max(per_rank)  # collective is paced by the slowest rank
-            out[f"{name}_{algorithm}_ms"] = round(seconds * 1e3, 4)
-            print(
-                f"allreduce[{name}/{algorithm}] {scalars} scalars x "
-                f"{parts} ranks: {seconds * 1e3:8.3f} ms"
-            )
+        transport = cls(parts, recv_timeout=60.0)
+        per_rank = transport.launch(
+            _allreduce_bench_worker, [(scalars, reps)] * parts, timeout=300.0,
+        )
+        seconds = max(per_rank)  # collective is paced by the slowest rank
+        out[f"{name}_ring_ms"] = round(seconds * 1e3, 4)
+        print(
+            f"allreduce[{name}/ring] {scalars} scalars x "
+            f"{parts} ranks: {seconds * 1e3:8.3f} ms"
+        )
     return out
 
 

@@ -68,9 +68,11 @@ __all__ = [
 class ResourceSpec:
     """One resource family: how it is created and what it owes.
 
-    ``constructors`` use the pattern grammar of the typestate tables:
-    an exact callee last segment (``"Pipe"``), a class-name suffix
-    (``"*Endpoint"``) or a dotted suffix (``"_ShmRing.create"``).
+    ``constructors`` are matched by :func:`_match` against the callee:
+    a plain pattern must equal its last segment (``"Pipe"``), a
+    ``*Suffix`` pattern must end it (``"*Endpoint"``), and a dotted
+    pattern must equal the callee or end it after a dot
+    (``"_ShmRing.create"``).
     ``duties`` are the methods that must all be called before the
     function exits; ``attach_constructors`` create the non-owning
     (worker-side) flavour with ``attach_duties``, for which the

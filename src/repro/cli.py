@@ -187,11 +187,6 @@ def build_dist_parser() -> argparse.ArgumentParser:
              "bytes, measured lower blocked-in-recv time",
     )
     parser.add_argument(
-        "--allreduce", default="ring", choices=("ring", "tree"),
-        help="gradient AllReduce algorithm (metering is the ring model "
-             "either way)",
-    )
-    parser.add_argument(
         "--timeout", type=float, default=600.0,
         help="launch deadline in seconds; a hung rank fails fast",
     )
@@ -240,8 +235,7 @@ def dist_train_main(argv: Sequence[str]) -> int:
         graph, partition, model, sampler,
         transport=args.transport, lr=args.lr, seed=args.seed,
         aggregation="sym" if args.model == "gcn" else "mean",
-        schedule=args.schedule,
-        allreduce_algorithm=args.allreduce, timeout=args.timeout,
+        schedule=args.schedule, timeout=args.timeout,
         dtype=args.dtype, kernel_backend=args.kernel_backend,
     )
     if not args.quiet:

@@ -8,7 +8,7 @@ multi-rank execution path:
   its byte-metering core (:class:`ByteMeter`, Eq. 3 made measurable),
   plus the three data-moving implementations:
   :class:`LocalTransport` (threads + queues),
-  :class:`MultiprocessTransport` (processes + pipes, real ring/tree
+  :class:`MultiprocessTransport` (processes + pipes, real ring
   AllReduce) and :class:`SharedMemoryTransport` (processes +
   zero-copy shared-memory rings; pipes carry control traffic only);
 * :mod:`repro.dist.comm` — :class:`SimulatedCommunicator`, the

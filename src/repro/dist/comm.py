@@ -41,29 +41,15 @@ class SimulatedCommunicator(Transport):
     ----------
     num_parts:
         Number of simulated ranks.
-    bytes_per_scalar:
-        Wire size of one scalar.  Omitted, it derives from ``dtype``
-        (the run's precision; the library default when that is omitted
-        too) so the simulated ledger matches what a real transport
-        would ship: 8 bytes at float64, 4 at float32.
     dtype:
-        The precision the simulated run represents.
+        The precision the simulated run represents (the library default
+        when omitted).  Its scalar width is what the ledger prices, so
+        the simulated ledger matches what a real transport would ship:
+        8 bytes at float64, 4 at float32.
 
     The entire behaviour — ``send`` / ``broadcast`` / ``allreduce``
     over scalar counts, ``reset``, ``total_bytes``, ``pairwise`` — is
-    inherited from :class:`~repro.dist.transport.Transport`; the
-    counters are initialised exactly once by the shared meter (the
-    historical implementation assigned them in ``__init__`` and then
-    immediately reassigned them via ``reset()``).
+    inherited from :class:`~repro.dist.transport.Transport`.
     """
 
     name = "simulated"
-
-    def __init__(self, num_parts: int, bytes_per_scalar=None, dtype=None) -> None:
-        super().__init__(num_parts, bytes_per_scalar, dtype=dtype)
-
-    def __repr__(self) -> str:
-        return (
-            f"SimulatedCommunicator(m={self.num_parts}, "
-            f"total={self.total_bytes()}B)"
-        )

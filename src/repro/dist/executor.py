@@ -27,7 +27,7 @@ boundary-sampled training with real exchanges:
   Summed over the AllReduce this reproduces the single-tape gradient
   of the simulated trainer exactly (up to float addition order — the
   equivalence suite pins 1e-9);
-* **reduce** — a real ring (or tree) AllReduce over the flattened
+* **reduce** — a real ring AllReduce over the flattened
   parameter gradients.  The reduced buffer is bitwise identical on
   every rank, so the per-rank Adam replicas stay in lockstep without
   any further synchronisation.
@@ -134,7 +134,6 @@ class _RankTask:
     lr: float
     loss_denom: float
     multilabel: bool
-    allreduce_algorithm: str
     #: Wire/compute dtype name.  Required, no literal default: the
     #: executor always ships the configured run dtype, and a silent
     #: "float64" fallback here is exactly the class of constant the
@@ -315,9 +314,7 @@ class _RankLoop:
             (p.grad if p.grad is not None else np.zeros_like(p.data)).ravel()
             for p in params
         ]) if params else np.zeros(0)
-        summed = self.ep.allreduce(
-            flat, "reduce", algorithm=self.task.allreduce_algorithm
-        )
+        summed = self.ep.allreduce(flat, "reduce")
         offset = 0
         for p in params:
             p.grad = summed[offset:offset + p.data.size].reshape(p.data.shape)
@@ -492,9 +489,6 @@ class ProcessRankExecutor:
         one epoch late.  A seeded pipelined run matches
         :class:`~repro.core.pipeline.PipelinedTrainer` at
         dtype-appropriate tolerance with byte-identical metering.
-    allreduce_algorithm:
-        ``"ring"`` (default) or ``"tree"`` — how gradient data actually
-        moves; metering is the ring model either way.
     timeout:
         Deadline in seconds for the whole launch; a hung worker fails
         fast instead of stalling the caller.  A transport built by the
@@ -531,7 +525,6 @@ class ProcessRankExecutor:
         seed: int = 0,
         aggregation: str = "mean",
         schedule: str = "synchronous",
-        allreduce_algorithm: str = "ring",
         timeout: float = 300.0,
         dtype=None,
         kernel_backend=None,
@@ -561,7 +554,6 @@ class ProcessRankExecutor:
         self.lr = lr
         self.seed = seed
         self.schedule = schedule
-        self.allreduce_algorithm = allreduce_algorithm
         self.timeout = timeout
         m = partition.num_parts
         # A transport built here inherits the executor's deadline as
@@ -608,7 +600,6 @@ class ProcessRankExecutor:
                 lr=self.lr,
                 loss_denom=float(denom),
                 multilabel=bool(self.graph.multilabel),
-                allreduce_algorithm=self.allreduce_algorithm,
                 dtype=str(self.dtype),
                 schedule=self.schedule,
                 kernel_backend=self.kernel_backend.name,

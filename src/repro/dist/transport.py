@@ -38,24 +38,23 @@ fourth implementation: it subclasses :class:`Transport` and implements
 only the metering plane (its "wire" is shared process memory, so
 nothing needs to travel).
 
-Every data-moving transport distinguishes two deadlines, named
-explicitly: ``recv_timeout`` is the per-receive window (the bound
-within which a silent peer must surface as a
-:class:`TransportError`), and ``launch_timeout`` is the deadline for
-the launch as a whole — result collection included.  Unless overridden
-the launch deadline equals ``recv_timeout`` on all transports (the
-multiprocess transport historically widened it to ``2 ×`` silently).
+Every data-moving transport distinguishes two deadlines:
+``recv_timeout`` is the per-receive window (the bound within which a
+silent peer must surface as a :class:`TransportError`), and the
+``timeout`` argument of :meth:`~Transport.launch` is the deadline for
+the launch as a whole — result collection included.  Omitted, the
+launch deadline is ``recv_timeout``.
 
 Metering is canonical, not observational: a transport meters the
 *model's* wire volume (scalar counts × ``bytes_per_scalar``, ring
-formula for collectives) rather than the bytes its implementation
-happens to push — pickle framing, pipe overhead and the choice of
-ring- vs tree-AllReduce never leak into the measurements.  That is
-what makes cost-model numbers comparable across simulated and real
-runs, and it is asserted by the transport conformance suite.
+formula for the AllReduce) rather than the bytes its implementation
+happens to push — pickle framing and pipe overhead never leak into
+the measurements.  That is what makes cost-model numbers comparable
+across simulated and real runs, and it is asserted by the transport
+conformance suite.
 
-``bytes_per_scalar`` itself is honest by construction: unless
-overridden it derives from the transport's configured ``dtype``
+``bytes_per_scalar`` itself is honest by construction: it derives
+from the transport's configured ``dtype``
 (:func:`~repro.tensor.dtype.scalar_nbytes` — 8 for the float64
 default, 4 under ``--dtype float32``), so the ledger prices exactly
 the scalar width the data plane actually pickles and ships.
@@ -102,8 +101,8 @@ __all__ = [
 ]
 
 
-def resolve_transport(transport, num_parts: int, bytes_per_scalar: Optional[int] = None,
-                      dtype=None, recv_timeout: Optional[float] = None):
+def resolve_transport(transport, num_parts: int, dtype=None,
+                      recv_timeout: Optional[float] = None):
     """Normalise a trainer/executor ``transport=`` argument.
 
     ``None`` yields a fresh metering-only
@@ -112,26 +111,23 @@ def resolve_transport(transport, num_parts: int, bytes_per_scalar: Optional[int]
     data-moving transport; an existing :class:`Transport` is validated
     against the partition's rank count and returned as-is (its own
     metering and timeout configuration wins).  A freshly built
-    transport meters ``scalar_nbytes(dtype)`` per scalar unless
-    ``bytes_per_scalar`` overrides it explicitly, and waits
+    transport meters ``scalar_nbytes(dtype)`` per scalar and waits
     ``recv_timeout`` seconds per receive when given (callers raising
     their launch deadline — e.g. ``ProcessRankExecutor(timeout=...)``
     — widen the per-recv window with it; peer *death* is detected by
     EOF regardless).
     """
-    if transport is None or transport == "simulated":
+    if transport is None:
         from .comm import SimulatedCommunicator
 
-        return SimulatedCommunicator(num_parts, bytes_per_scalar, dtype=dtype)
+        return SimulatedCommunicator(num_parts, dtype=dtype)
     kwargs = {} if recv_timeout is None else {"recv_timeout": float(recv_timeout)}
     if transport == "local":
-        return LocalTransport(num_parts, bytes_per_scalar, dtype=dtype, **kwargs)
+        return LocalTransport(num_parts, dtype=dtype, **kwargs)
     if transport == "multiprocess":
-        return MultiprocessTransport(num_parts, bytes_per_scalar, dtype=dtype,
-                                     **kwargs)
+        return MultiprocessTransport(num_parts, dtype=dtype, **kwargs)
     if transport == "shm":
-        return SharedMemoryTransport(num_parts, bytes_per_scalar, dtype=dtype,
-                                     **kwargs)
+        return SharedMemoryTransport(num_parts, dtype=dtype, **kwargs)
     if not isinstance(transport, Transport):
         raise TypeError(f"unknown transport {transport!r}")
     if transport.num_parts != num_parts:
@@ -164,23 +160,14 @@ class ByteMeter:
     The recording rules are the contract the conformance suite pins
     down: self-sends and empty sends meter zero, point-to-point bytes
     land in ``pairwise[src, dst]``, and the AllReduce meters the ring
-    formula from each rank to its ring successor regardless of the
-    algorithm that actually moves the data.
-
-    ``bytes_per_scalar`` omitted derives from ``dtype`` (the configured
-    precision of the run; library default when that is omitted too) —
-    the ledger prices exactly the scalar width the run ships.
+    formula from each rank to its ring successor.
     """
 
-    def __init__(self, num_parts: int, bytes_per_scalar: Optional[int] = None,
-                 dtype=None) -> None:
+    def __init__(self, num_parts: int, bytes_per_scalar: int) -> None:
         if num_parts < 1:
             raise ValueError(f"num_parts must be >= 1, got {num_parts}")
         self.num_parts = num_parts
-        self.bytes_per_scalar = (
-            int(bytes_per_scalar) if bytes_per_scalar is not None
-            else scalar_nbytes(dtype)
-        )
+        self.bytes_per_scalar = int(bytes_per_scalar)
         self.pairwise: np.ndarray = np.zeros((num_parts, num_parts), dtype=np.int64)
         self.by_tag: Dict[str, int] = {}
 
@@ -253,10 +240,9 @@ class Transport:
 
     name = "abstract"
 
-    def __init__(self, num_parts: int, bytes_per_scalar: Optional[int] = None,
-                 dtype=None) -> None:
+    def __init__(self, num_parts: int, dtype=None) -> None:
         self.dtype = resolve_dtype(dtype)
-        self.meter = ByteMeter(num_parts, bytes_per_scalar, dtype=self.dtype)
+        self.meter = ByteMeter(num_parts, scalar_nbytes(self.dtype))
 
     # -- metering plane (SimulatedCommunicator-compatible) -------------
     @property
@@ -313,10 +299,9 @@ class Transport:
 class _SendTicket:
     """Completion handle of one queued outbound message.
 
-    Mirrors the ``threading.Thread`` join/is_alive surface the callers
-    historically used, plus an ``error`` slot so a failed push (dead
-    peer pipe) surfaces at the join instead of vanishing with the
-    sender thread.
+    ``join`` waits like ``threading.Thread.join``; the ``error`` slot
+    makes a failed push (dead peer pipe) surface at the join instead of
+    vanishing with the sender thread.
     """
 
     __slots__ = ("dst", "tag", "_done", "error")
@@ -330,9 +315,6 @@ class _SendTicket:
     def join(self, timeout: Optional[float] = None) -> bool:
         """Wait for completion; True iff the send finished in time."""
         return self._done.wait(timeout)
-
-    def is_alive(self) -> bool:
-        return not self._done.is_set()
 
 
 @dataclass
@@ -357,7 +339,7 @@ class Endpoint:
 
     Subclasses supply the raw channel primitives ``_put`` / ``_get``;
     everything else — metering, tag checking, deadlock-free pairwise
-    exchange, the ring/tree AllReduce — is shared, so the local and
+    exchange, the ring AllReduce — is shared, so the local and
     multiprocess transports are behaviourally identical by
     construction.
 
@@ -395,18 +377,24 @@ class Endpoint:
 
     # -- ordered outbound queues ---------------------------------------
     def _sender_loop(self, dst: int) -> None:
+        # ``task_done`` keeps ``unfinished_tasks`` exact: the shm
+        # endpoint's inline fast-path reads it to know whether the
+        # channel is idle.
         q = self._send_queues[dst]
         while True:
             item = q.get()
-            if item is None:
-                return
-            message, ticket = item
             try:
-                self._put(dst, message)
-            except BaseException as exc:  # noqa: BLE001 - surfaced at join
-                ticket.error = exc
+                if item is None:
+                    return
+                message, ticket = item
+                try:
+                    self._put(dst, message)
+                except BaseException as exc:  # noqa: BLE001 - surfaced at join
+                    ticket.error = exc
+                finally:
+                    ticket._done.set()
             finally:
-                ticket._done.set()
+                q.task_done()
 
     def _enqueue(self, dst: int, message, tag: str) -> _SendTicket:
         """Queue a message on the ordered channel to ``dst``."""
@@ -522,9 +510,6 @@ class Endpoint:
         whose wire volume was already metered canonically."""
         return self._enqueue(dst, (tag, payload), tag)
 
-    def _send_raw(self, dst: int, payload: np.ndarray, tag: str) -> None:
-        self._join_send(self._enqueue(dst, (tag, payload), tag))
-
     def exchange(
         self,
         outgoing: Dict[int, np.ndarray],
@@ -581,15 +566,12 @@ class Endpoint:
         return received
 
     # -- collectives ---------------------------------------------------
-    def allreduce(
-        self, array: np.ndarray, tag: str, algorithm: str = "ring"
-    ) -> np.ndarray:
+    def allreduce(self, array: np.ndarray, tag: str) -> np.ndarray:
         """Sum ``array`` across all ranks; every rank gets the result.
 
-        The data moves by a real ring (reduce-scatter + allgather) or
-        binomial tree; the metering is always the canonical ring
-        formula (:func:`ring_allreduce_scalars`), keeping the ledger
-        identical across algorithms and transports.  The reduced buffer
+        The data moves by a real ring (reduce-scatter + allgather),
+        metered by the ring formula (:func:`ring_allreduce_scalars`),
+        so the ledger is identical across transports.  The reduced buffer
         is bitwise identical on every rank — each chunk is finalised by
         exactly one rank and copies of it are distributed — which is
         what keeps model replicas in lockstep.
@@ -610,13 +592,7 @@ class Endpoint:
         self.meter.record_allreduce_rank(self.rank, flat.size, tag)
         if self.num_parts == 1 or flat.size == 0:
             return flat.reshape(shape)
-        if algorithm == "ring":
-            out = self._ring_allreduce(flat, tag)
-        elif algorithm == "tree":
-            out = self._tree_allreduce(flat, tag)
-        else:
-            raise ValueError(f"unknown allreduce algorithm {algorithm!r}")
-        return out.reshape(shape)
+        return self._ring_allreduce(flat, tag).reshape(shape)
 
     def _chunk_slices(self, n: int) -> List[slice]:
         bounds = np.linspace(0, n, self.num_parts + 1).astype(np.int64)
@@ -640,30 +616,6 @@ class Endpoint:
             ticket = self._isend_raw(succ, buf[slices[send_idx]].copy(), tag)
             buf[slices[recv_idx]] = self.recv(pred, tag)
             self._join_send(ticket)
-        return buf
-
-    def _tree_allreduce(self, buf: np.ndarray, tag: str) -> np.ndarray:
-        m, rank = self.num_parts, self.rank
-        # Reduce up a binomial tree rooted at 0.
-        span, sent_span = 1, None
-        while span < m:
-            r = rank % (2 * span)
-            if r == span:
-                self._send_raw(rank - span, buf, tag)
-                sent_span = span
-                break
-            if r == 0 and rank + span < m:
-                buf = buf + self.recv(rank + span, tag)
-            span *= 2
-        # Broadcast the root's buffer back down the same tree.
-        if sent_span is not None:
-            buf = self.recv(rank - sent_span, tag)
-            span = sent_span
-        down = span // 2
-        while down >= 1:
-            if rank % (2 * down) == 0 and rank + down < m:
-                self._send_raw(rank + down, buf, tag)
-            down //= 2
         return buf
 
 
@@ -698,21 +650,14 @@ class LocalTransport(Transport):
 
     name = "local"
 
-    def __init__(self, num_parts: int, bytes_per_scalar: Optional[int] = None,
-                 recv_timeout: float = 60.0, dtype=None,
-                 launch_timeout: Optional[float] = None) -> None:
-        super().__init__(num_parts, bytes_per_scalar, dtype=dtype)
+    def __init__(self, num_parts: int, recv_timeout: float = 60.0,
+                 dtype=None) -> None:
+        super().__init__(num_parts, dtype=dtype)
         self.recv_timeout = recv_timeout
-        # The launch deadline is named, not derived ad hoc: one uniform
-        # default (= recv_timeout) across every data-moving transport.
-        self.launch_timeout = (
-            float(recv_timeout) if launch_timeout is None
-            else float(launch_timeout)
-        )
 
     def launch(self, worker, payloads=None, timeout=None):
         m = self.num_parts
-        timeout = self.launch_timeout if timeout is None else timeout
+        timeout = self.recv_timeout if timeout is None else timeout
         payloads = list(payloads) if payloads is not None else [None] * m
         if len(payloads) != m:
             raise ValueError(f"expected {m} payloads, got {len(payloads)}")
@@ -885,7 +830,7 @@ class MultiprocessTransport(Transport):
     A full mesh of :func:`multiprocessing.Pipe` connections carries
     rank-to-rank traffic; a separate parent pipe per rank ships the
     task payload in (pickled) and the result + byte ledger out.
-    ``launch`` enforces the named ``launch_timeout`` deadline: a hung
+    ``launch`` enforces its ``timeout`` deadline: a hung
     pipe kills the worker tree and raises :class:`TransportError`
     instead of stalling the caller — which is what lets CI run a smoke
     job against this transport without risking a wedged runner.
@@ -894,19 +839,10 @@ class MultiprocessTransport(Transport):
     name = "multiprocess"
     _endpoint_cls = _PipeEndpoint
 
-    def __init__(self, num_parts: int, bytes_per_scalar: Optional[int] = None,
-                 recv_timeout: float = 60.0, start_method: Optional[str] = None,
-                 dtype=None, launch_timeout: Optional[float] = None) -> None:
-        super().__init__(num_parts, bytes_per_scalar, dtype=dtype)
+    def __init__(self, num_parts: int, recv_timeout: float = 60.0,
+                 dtype=None) -> None:
+        super().__init__(num_parts, dtype=dtype)
         self.recv_timeout = recv_timeout
-        self.start_method = start_method
-        # Named uniformly across the data-moving transports (this class
-        # used to widen its default to `recv_timeout * 2` silently,
-        # unlike LocalTransport — the launch-window asymmetry bugfix).
-        self.launch_timeout = (
-            float(recv_timeout) if launch_timeout is None
-            else float(launch_timeout)
-        )
 
     # -- data-plane hooks (overridden by SharedMemoryTransport) --------
     def _data_plane_setup(self, m: int):
@@ -917,7 +853,7 @@ class MultiprocessTransport(Transport):
         import multiprocessing as mp
 
         m = self.num_parts
-        timeout = self.launch_timeout if timeout is None else timeout
+        timeout = self.recv_timeout if timeout is None else timeout
         # Per-recv windows stay at the transport's recv_timeout — the
         # bound within which a silent peer must surface as a
         # TransportError; `timeout` only caps the launch as a whole.
@@ -927,7 +863,7 @@ class MultiprocessTransport(Transport):
         payloads = list(payloads) if payloads is not None else [None] * m
         if len(payloads) != m:
             raise ValueError(f"expected {m} payloads, got {len(payloads)}")
-        ctx = mp.get_context(self.start_method)
+        ctx = mp.get_context()
         extra, cleanup = self._data_plane_setup(m)
 
         mesh: Dict[int, Dict[int, object]] = {i: {} for i in range(m)}
@@ -1459,26 +1395,6 @@ class _ShmEndpoint(Endpoint):
                 return ticket
         return super()._enqueue(dst, message, tag)
 
-    def _sender_loop(self, dst: int) -> None:
-        # Identical to the base loop except for the ``task_done`` — the
-        # fast-path reads ``unfinished_tasks`` to know whether the
-        # channel is idle, so completions must be acknowledged.
-        q = self._send_queues[dst]
-        while True:
-            item = q.get()
-            try:
-                if item is None:
-                    return
-                message, ticket = item
-                try:
-                    self._put(dst, message)
-                except BaseException as exc:  # noqa: BLE001 - at join
-                    ticket.error = exc
-                finally:
-                    ticket._done.set()
-            finally:
-                q.task_done()
-
     # -- raw channel ----------------------------------------------------
     def _put(self, dst: int, message) -> None:
         tag, payload = message
@@ -1599,13 +1515,9 @@ class SharedMemoryTransport(MultiprocessTransport):
     name = "shm"
     _endpoint_cls = _ShmEndpoint
 
-    def __init__(self, num_parts: int, bytes_per_scalar: Optional[int] = None,
-                 recv_timeout: float = 60.0, start_method: Optional[str] = None,
-                 dtype=None, launch_timeout: Optional[float] = None,
-                 ring_bytes: int = 4 << 20) -> None:
-        super().__init__(num_parts, bytes_per_scalar,
-                         recv_timeout=recv_timeout, start_method=start_method,
-                         dtype=dtype, launch_timeout=launch_timeout)
+    def __init__(self, num_parts: int, recv_timeout: float = 60.0,
+                 dtype=None, ring_bytes: int = 4 << 20) -> None:
+        super().__init__(num_parts, recv_timeout=recv_timeout, dtype=dtype)
         if ring_bytes < _MIN_RING_NBYTES:
             raise ValueError(
                 f"ring_bytes must be >= {_MIN_RING_NBYTES}, got {ring_bytes}"

@@ -9,9 +9,8 @@ the memory, ~2× SpMM throughput, half the wire bytes).
 
 The same policy is what makes the communication ledger *honest*:
 :func:`scalar_nbytes` is the single source of a scalar's wire size, so
-a transport constructed without an explicit ``bytes_per_scalar``
-meters exactly what it ships (``np.dtype(d).itemsize``), instead of
-assuming 4-byte scalars while pickling 8-byte payloads.
+a transport meters exactly what it ships (``np.dtype(d).itemsize``),
+instead of assuming 4-byte scalars while pickling 8-byte payloads.
 
 The default can be pre-set for a whole process with the ``REPRO_DTYPE``
 environment variable (``float32`` or ``float64``) — that is how the CI

@@ -2,8 +2,8 @@
 
 Every seeded-violation fixture in ``comm_fixtures/`` must be caught by
 the schedule explorer and every clean twin must run clean under it.
-The executor's real rank program (both schedules, ring and tree
-AllReduce, world sizes 2–4) must run deadlock-free under explored
+The executor's real rank program (both schedules, ring AllReduce,
+world sizes 2–4) must run deadlock-free under explored
 interleavings and reproduce the unexplored run exactly.
 """
 
@@ -127,31 +127,28 @@ def executor_graph():
     return generate_graph(EXECUTOR_SPEC, seed=5)
 
 
-def _executor_run(graph, partition, schedule, algorithm):
+def _executor_run(graph, partition, schedule):
     """Per-epoch losses and per-tag ledgers of a 3-epoch threaded run
     (dropout and BNS p = 0.5, so every RNG stream is exercised)."""
     model = GraphSAGEModel(graph.feature_dim, 8, graph.num_classes, 2, 0.5,
                            np.random.default_rng(1))
     executor = ProcessRankExecutor(
         graph, partition, model, BoundaryNodeSampler(0.5),
-        transport="local", seed=0, schedule=schedule,
-        allreduce_algorithm=algorithm, timeout=60.0,
+        transport="local", seed=0, schedule=schedule, timeout=60.0,
     )
     result = executor.train(3)
     return result.history.loss, result.by_tag
 
 
 @pytest.mark.parametrize("explorer_seed", [0, 1])
-@pytest.mark.parametrize("algorithm", ["ring", "tree"])
 @pytest.mark.parametrize("schedule", ["synchronous", "pipelined"])
 @pytest.mark.parametrize("world", [2, 3, 4])
 def test_executor_rank_program_explored(executor_graph, monkeypatch, world,
-                                        schedule, algorithm, explorer_seed):
+                                        schedule, explorer_seed):
     partition = partition_graph(executor_graph, world, method="metis",
                                 seed=0)
     sanitizer.install_schedule_sanitizer(False)
-    reference = _executor_run(executor_graph, partition, schedule,
-                              algorithm)
+    reference = _executor_run(executor_graph, partition, schedule)
 
     explorers = []
 
@@ -162,7 +159,7 @@ def test_executor_rank_program_explored(executor_graph, monkeypatch, world,
 
     monkeypatch.setattr(transport_mod, "begin_schedule_exploration", capture)
     sanitizer.install_schedule_sanitizer(True, seed=explorer_seed)
-    explored = _executor_run(executor_graph, partition, schedule, algorithm)
+    explored = _executor_run(executor_graph, partition, schedule)
 
     # "Deadlock-free" must never mean "nothing was explored": the launch
     # ran under one explorer, every rank finished inside it, and its

@@ -195,16 +195,6 @@ class TestLocalTransportEquivalence:
         # one rank, no boundary: nothing should have been metered p2p
         assert all(t.get("forward", 0) == 0 for t in dist[2].by_tag)
 
-    def test_tree_allreduce_matches_too(self, graph, partition):
-        """Algorithm choice moves the data differently but must not
-        change gradients (bitwise-identical replicas) or the ledger."""
-        sim = _simulated_run(graph, partition, BoundaryNodeSampler(0.5))
-        dist = _executor_run(
-            graph, partition, BoundaryNodeSampler(0.5), "local",
-            allreduce_algorithm="tree",
-        )
-        _assert_equivalent(sim, dist)
-
     def test_multilabel_bce_loss_path(self):
         spec = SyntheticSpec(
             n=200, num_communities=5, avg_degree=8.0, homophily=0.8,

@@ -12,10 +12,10 @@ interchangeable with the other transports; this file tests what is
   close — so a worker SIGKILLed mid-epoch leaves nothing in
   ``/dev/shm`` and CPython's resource tracker has nothing to warn
   about;
-* the named launch deadline: ``launch_timeout`` defaults to
-  ``recv_timeout`` uniformly on all three data-moving transports (the
-  multiprocess transport used to widen it to ``2 ×`` silently), and
-  peer *death* is detected in a small fraction of ``recv_timeout``.
+* the launch deadline: ``launch(timeout=)`` bounds a hung worker and
+  falls back to ``recv_timeout`` uniformly on all three data-moving
+  transports, and peer *death* is detected in a small fraction of
+  ``recv_timeout``.
 """
 
 from __future__ import annotations
@@ -313,32 +313,31 @@ print("LEFTOVER:", leftover)
 
 
 # ----------------------------------------------------------------------
-# Named launch deadline + dead-peer latency
+# Launch deadline + dead-peer latency
 # ----------------------------------------------------------------------
+def _hung_worker(ep, _):
+    time.sleep(60.0)
+    return True
+
+
 class TestLaunchDeadline:
     @pytest.mark.parametrize("cls", DATA_MOVING)
     def test_launch_timeout_defaults_to_recv_timeout(self, cls):
-        """The bugfix: the multiprocess transport used to widen its
-        result-collection window to `recv_timeout * 2` silently while
-        the local transport used `recv_timeout` — the launch deadline
-        is now a named knob with one uniform default."""
-        assert cls(2).launch_timeout == cls(2).recv_timeout == 60.0
-        assert cls(2, recv_timeout=7.5).launch_timeout == 7.5
-        assert cls(2, recv_timeout=5.0, launch_timeout=12.0).launch_timeout == 12.0
+        """Without ``timeout=`` a hung worker fails at ~``recv_timeout``
+        on every data-moving transport."""
+        t0 = time.monotonic()
+        with pytest.raises(TransportError, match="0.5"):
+            cls(2, recv_timeout=0.5).launch(_hung_worker)
+        assert time.monotonic() - t0 < 10.0
 
     @pytest.mark.parametrize("cls", DATA_MOVING)
     def test_hung_worker_fails_at_the_named_deadline(self, cls):
-        """A worker that never returns fails at ~launch_timeout — not
-        at 2x, not at the per-recv window."""
-        transport = cls(2, recv_timeout=30.0, launch_timeout=0.5)
-
-        def worker(ep, _):
-            time.sleep(60.0)
-            return True
-
+        """A worker that never returns fails at ~``timeout`` — not at
+        the per-recv window."""
+        transport = cls(2, recv_timeout=30.0)
         t0 = time.monotonic()
         with pytest.raises(TransportError, match="0.5"):
-            transport.launch(worker)
+            transport.launch(_hung_worker, timeout=0.5)
         assert time.monotonic() - t0 < 10.0
 
     @pytest.mark.parametrize("cls", [MultiprocessTransport, SharedMemoryTransport])

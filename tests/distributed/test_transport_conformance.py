@@ -45,7 +45,7 @@ from repro.tensor import get_default_dtype
 # Scenario matrix: (name, num_parts, ops)
 #   ("send", src, dst, n, tag)
 #   ("bcast", src, n, tag)
-#   ("allreduce", n, tag, algorithm)
+#   ("allreduce", n, tag)
 # ----------------------------------------------------------------------
 SCENARIOS = [
     (
@@ -70,7 +70,7 @@ SCENARIOS = [
         "degenerate_m1", 1,
         [
             ("bcast", 0, 9, "sample_sync"),
-            ("allreduce", 11, "reduce", "ring"),
+            ("allreduce", 11, "reduce"),
             ("send", 0, 0, 5, "forward"),
         ],
     ),
@@ -85,11 +85,12 @@ SCENARIOS = [
     ),
     (
         "allreduce_ring_uneven", 4,
-        [("allreduce", 7, "reduce", "ring"), ("allreduce", 1, "reduce", "ring")],
+        [("allreduce", 7, "reduce"), ("allreduce", 1, "reduce")],
     ),
     (
-        "allreduce_tree", 3,
-        [("allreduce", 10, "reduce", "tree"), ("allreduce", 4, "r2", "tree")],
+        # The only odd world size in the AllReduce matrix.
+        "allreduce_ring_odd_world", 3,
+        [("allreduce", 10, "reduce"), ("allreduce", 4, "r2")],
     ),
     (
         "epoch_like", 4,
@@ -102,7 +103,7 @@ SCENARIOS = [
             ("send", 0, 1, 96, "backward"),
             ("send", 2, 3, 40, "forward"),
             ("send", 3, 2, 40, "backward"),
-            ("allreduce", 1234, "reduce", "ring"),
+            ("allreduce", 1234, "reduce"),
         ],
     ),
 ]
@@ -145,8 +146,8 @@ def _replay_worker(ep, ops):
                 got = ep.recv(src, tag)
                 np.testing.assert_array_equal(got, _payload(src, k, n))
         elif kind == "allreduce":
-            _, n, tag, algorithm = op
-            out = ep.allreduce(_payload(rank, k, n), tag, algorithm=algorithm)
+            _, n, tag = op
+            out = ep.allreduce(_payload(rank, k, n), tag)
             expected = np.sum([_payload(r, k, n) for r in range(m)], axis=0)
             np.testing.assert_allclose(out, expected, atol=1e-9)
         else:  # pragma: no cover - scenario typo guard
@@ -165,7 +166,7 @@ def _simulated_ledger(m, ops):
             _, src, n, tag = op
             comm.broadcast(src, n, tag)
         elif kind == "allreduce":
-            _, n, tag, _algorithm = op
+            _, n, tag = op
             comm.allreduce(n, tag)
     return comm.meter.snapshot()
 
@@ -185,6 +186,16 @@ def _launched_ledger(transport, ops):
 
 def _make_transport(kind, m):
     return TRANSPORT_CLASSES[kind](m, recv_timeout=30.0)
+
+
+@pytest.mark.parametrize("cls", [SimulatedCommunicator, LocalTransport,
+                                 MultiprocessTransport, SharedMemoryTransport])
+def test_repr_names_class_ranks_and_metered_total(cls):
+    m = 3
+    transport = cls(m)
+    transport.send(0, 1, 5, "forward")
+    n = 5 * transport.bytes_per_scalar
+    assert repr(transport) == f"{type(transport).__name__}(m={m}, total={n}B)"
 
 
 @pytest.mark.parametrize("kind", DATA_MOVING)
@@ -411,16 +422,14 @@ class TestDtypeConformance:
                     MultiprocessTransport, SharedMemoryTransport):
             assert cls(2, dtype=np.float32).bytes_per_scalar == 4
             assert cls(2, dtype=np.float64).bytes_per_scalar == 8
-            assert cls(2, bytes_per_scalar=2).bytes_per_scalar == 2  # override wins
 
     @pytest.mark.parametrize("kind", DATA_MOVING)
-    @pytest.mark.parametrize("algorithm", ["ring", "tree"])
-    def test_fp32_allreduce_preserves_dtype_and_meters_4_bytes(self, kind, algorithm):
+    def test_fp32_allreduce_preserves_dtype_and_meters_4_bytes(self, kind):
         m, n = 3, 37
         transport = TRANSPORT_CLASSES[kind](m, recv_timeout=30.0, dtype=np.float32)
 
         def worker(ep, contribution):
-            out = ep.allreduce(contribution, "reduce", algorithm=algorithm)
+            out = ep.allreduce(contribution, "reduce")
             return out, ep.meter.snapshot()
 
         rng = np.random.default_rng(5)

@@ -66,7 +66,6 @@ class TestDistTrain:
     def test_dist_parser_defaults(self):
         args = build_dist_parser().parse_args([])
         assert args.transport == "multiprocess"
-        assert args.allreduce == "ring"
         assert args.schedule == "synchronous"
 
     def test_rejects_unknown_transport(self):
@@ -96,7 +95,3 @@ class TestDistTrain:
                                   "--sampling-rate", "0.5"]) == 0
         out = capsys.readouterr().out
         assert "multiprocess" in out
-
-    def test_tree_allreduce(self, capsys):
-        assert main(DIST_SMALL + ["--transport", "local",
-                                  "--allreduce", "tree"]) == 0
