@@ -3,7 +3,7 @@
 Every seeded-violation fixture in ``comm_fixtures/`` must be caught by
 the schedule explorer and every clean twin must run clean under it.
 The executor's real rank program (both schedules, ring AllReduce,
-world sizes 2–4) must run deadlock-free under explored
+world sizes 2–5) must run deadlock-free under explored
 interleavings and reproduce the unexplored run exactly.
 """
 
@@ -142,7 +142,7 @@ def _executor_run(graph, partition, schedule):
 
 @pytest.mark.parametrize("explorer_seed", [0, 1])
 @pytest.mark.parametrize("schedule", ["synchronous", "pipelined"])
-@pytest.mark.parametrize("world", [2, 3, 4])
+@pytest.mark.parametrize("world", [2, 3, 4, 5])
 def test_executor_rank_program_explored(executor_graph, monkeypatch, world,
                                         schedule, explorer_seed):
     partition = partition_graph(executor_graph, world, method="metis",

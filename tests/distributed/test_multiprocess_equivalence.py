@@ -195,6 +195,14 @@ class TestLocalTransportEquivalence:
         # one rank, no boundary: nothing should have been metered p2p
         assert all(t.get("forward", 0) == 0 for t in dist[2].by_tag)
 
+    def test_three_ranks_odd_world(self, graph):
+        """An odd rank count splits the ring AllReduce into uneven
+        chunks; gradients and ledgers must still match."""
+        part3 = partition_graph(graph, 3, method="metis", seed=0)
+        sim = _simulated_run(graph, part3, BoundaryNodeSampler(0.5))
+        dist = _executor_run(graph, part3, BoundaryNodeSampler(0.5), "local")
+        _assert_equivalent(sim, dist)
+
     def test_multilabel_bce_loss_path(self):
         spec = SyntheticSpec(
             n=200, num_communities=5, avg_degree=8.0, homophily=0.8,

@@ -231,6 +231,14 @@ class TestLocalPipelined:
         )
         _assert_equivalent(sim, dist)
 
+    def test_three_ranks_odd_world(self, graph):
+        """An odd rank count splits the ring AllReduce into uneven
+        chunks; the pipelined run must still match."""
+        part3 = partition_graph(graph, 3, method="metis", seed=0)
+        sim = _sim_pipelined_run(graph, part3, BoundaryNodeSampler(0.5))
+        dist = _executor_run(graph, part3, BoundaryNodeSampler(0.5), "local")
+        _assert_equivalent(sim, dist)
+
     def test_single_rank_degenerate(self, graph):
         part1 = partition_graph(graph, 1, method="random", seed=0)
         sim = _sim_pipelined_run(graph, part1, FullBoundarySampler())

@@ -20,6 +20,8 @@ with ``==`` — byte-for-byte, not approximately.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from repro.dist.transport import (
     MultiprocessTransport,
     SharedMemoryTransport,
     TransportError,
+    resolve_transport,
     ring_allreduce_scalars,
 )
 
@@ -196,6 +199,69 @@ def test_repr_names_class_ranks_and_metered_total(cls):
     transport.send(0, 1, 5, "forward")
     n = 5 * transport.bytes_per_scalar
     assert repr(transport) == f"{type(transport).__name__}(m={m}, total={n}B)"
+
+
+class TestResolveTransport:
+    """``None`` meters only, a name builds a data-moving transport at
+    the run's dtype and receive window, an instance is checked against
+    the rank count and kept as it is."""
+
+    def test_none_builds_a_metering_only_communicator(self):
+        comm = resolve_transport(None, 3, dtype=np.float32)
+        assert type(comm) is SimulatedCommunicator
+        assert (comm.num_parts, comm.bytes_per_scalar) == (3, 4)
+
+    @pytest.mark.parametrize("kind", DATA_MOVING)
+    def test_name_builds_the_transport(self, kind):
+        transport = resolve_transport(kind, 3, dtype=np.float32,
+                                      recv_timeout=7)
+        assert type(transport) is TRANSPORT_CLASSES[kind]
+        assert transport.num_parts == 3
+        assert transport.bytes_per_scalar == 4
+        assert transport.recv_timeout == 7.0
+
+    def test_instance_keeps_its_own_configuration(self):
+        transport = LocalTransport(3, recv_timeout=5.0, dtype=np.float64)
+        got = resolve_transport(transport, 3, dtype=np.float32,
+                                recv_timeout=60.0)
+        assert got is transport
+        assert (got.bytes_per_scalar, got.recv_timeout) == (8, 5.0)
+
+    def test_rank_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="3 ranks"):
+            resolve_transport(LocalTransport(3), 4)
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(TypeError, match="simulated"):
+            resolve_transport("simulated", 2)
+
+
+@pytest.mark.parametrize("kind", DATA_MOVING)
+def test_sender_queue_settles_after_joined_sends(kind):
+    """Every queued message is marked done: once a rank's sends are
+    joined, its outbound queue reports no unfinished task (the shm
+    endpoint's inline path reads that count to see an idle channel).
+    Frames are above an eighth of the shm ring, so shm queues them too."""
+    transport = _make_transport(kind, 2)
+    n, count = 100_000, 4
+
+    def worker(ep, _):
+        peer = 1 - ep.rank
+        tickets = [
+            ep.isend(peer, np.full(n, k, dtype=get_default_dtype()), "forward")
+            for k in range(count)
+        ]
+        got = [int(ep.recv(peer, "forward")[0]) for _ in range(count)]
+        for ticket in tickets:
+            assert ticket.join(30.0) and ticket.error is None
+        q = ep._send_queues[peer]
+        deadline = time.monotonic() + 5.0
+        while q.unfinished_tasks and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return got, q.unfinished_tasks
+
+    results = transport.launch(worker, timeout=60.0)
+    assert results == [(list(range(count)), 0)] * 2
 
 
 @pytest.mark.parametrize("kind", DATA_MOVING)

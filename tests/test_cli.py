@@ -72,6 +72,11 @@ class TestDistTrain:
         with pytest.raises(SystemExit):
             build_dist_parser().parse_args(["--transport", "carrier-pigeon"])
 
+    def test_rejects_the_removed_allreduce_flag(self):
+        """The ring is the only AllReduce; ``--allreduce`` is gone."""
+        with pytest.raises(SystemExit):
+            build_dist_parser().parse_args(["--allreduce", "ring"])
+
     def test_rejects_unknown_schedule(self):
         with pytest.raises(SystemExit):
             build_dist_parser().parse_args(["--schedule", "eager"])
