@@ -3,15 +3,16 @@
 Submodules:
 
 * :mod:`repro.analysis.engine` — AST pass framework, diagnostics,
-  registry, committed baseline.
+  registry, inline waivers.
 * :mod:`repro.analysis.dataflow` — the intraprocedural CFG builder and
   forward worklist solver the flow-sensitive passes run on.
 * :mod:`repro.analysis.passes` — dtype-width, metering, kernel-purity
   and determinism passes.
 * :mod:`repro.analysis.concurrency` — discarded-result and
   blocking-in-lock passes.
-* :mod:`repro.analysis.lifecycle` — flow-sensitive resource-lifecycle
-  and exception-safety passes (close/unlink/release on every path).
+* :mod:`repro.analysis.lifecycle` — the flow-sensitive resource-
+  lifecycle pass (close/unlink/release on every path, raise paths
+  included).
 * :mod:`repro.analysis.sanitizer` — the opt-in runtime checkers, one
   per property: lock order (``REPRO_SANITIZE=locks``), the transport
   protocol tables and the typestate proxies that read them
@@ -35,15 +36,11 @@ from .engine import (
     FlowPass,
     LintPass,
     SourceModule,
-    baseline_keys,
     collect_modules,
-    diff_against_baseline,
     get_passes,
-    load_baseline,
     pass_names,
     register_pass,
     run_passes,
-    save_baseline,
 )
 from .lint import run_lint
 from .sanitizer import (
@@ -84,15 +81,12 @@ __all__ = [
     "SolverDivergence",
     "SourceModule",
     "TypestateProxy",
-    "baseline_keys",
     "build_cfg",
     "collect_modules",
-    "diff_against_baseline",
     "function_cfgs",
     "get_passes",
     "install_protocol_sanitizer",
     "install_schedule_sanitizer",
-    "load_baseline",
     "locks_enabled",
     "make_lock",
     "pass_names",
@@ -101,7 +95,6 @@ __all__ = [
     "register_pass",
     "run_lint",
     "run_passes",
-    "save_baseline",
     "schedule_enabled",
     "solve_forward",
     "wrap_protocol",

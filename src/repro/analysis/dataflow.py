@@ -5,8 +5,7 @@ wrong" but not "this resource never reaches ``close()`` on the path
 where the recv raises".  This module adds the missing half — a small
 control-flow graph builder over function bodies and a generic forward
 worklist solver — so flow-sensitive passes (:mod:`.lifecycle`) can
-reason about *paths*, including the exceptional ones the
-elastic-training rewrite will mint by the dozen.
+reason about *paths*, including the exceptional ones.
 
 Design notes (the approximations are deliberate and documented):
 

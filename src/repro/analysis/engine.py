@@ -1,4 +1,4 @@
-"""The invariant lint engine: AST passes, diagnostics, baseline.
+"""The invariant lint engine: AST passes, diagnostics, registry.
 
 The repo's load-bearing invariants — the byte ledger meters exactly
 what ships, scalar widths flow through
@@ -17,7 +17,7 @@ module-level registry (:func:`register_pass` / :func:`pass_names` /
 registration, and the CLI / pytest self-check / CI pick it up without
 further wiring.
 
-Three mechanisms keep the engine honest on a real tree:
+Two mechanisms keep the engine honest on a real tree:
 
 * **layer markers** — a file declares the privileged layer it
   implements with a ``# repro-lint: layer=<name>`` comment (the
@@ -27,23 +27,18 @@ Three mechanisms keep the engine honest on a real tree:
 * **inline suppressions** — ``# repro-lint: ignore[rule-id]`` on the
   offending line (or on a ``with`` statement, for block-scoped rules)
   waives one finding, with the justification sitting right next to it
-  in the diff.
-* **a committed baseline** — :func:`load_baseline` /
-  :func:`diff_against_baseline` compare findings by a line-content key
-  (stable under unrelated edits), so legacy findings can be frozen
-  without blocking CI while every *new* finding fails it.  The repo's
-  policy is a clean tree: the committed baseline is empty and the
-  pytest self-check keeps it that way.
+  in the diff.  It is the only way to accept a finding: every other
+  finding fails the run, so a finding is either fixed or waived at
+  its line.
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
-import json
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -52,15 +47,11 @@ __all__ = [
     "FlowPass",
     "LintPass",
     "SourceModule",
-    "baseline_keys",
     "collect_modules",
-    "diff_against_baseline",
     "get_passes",
-    "load_baseline",
     "pass_names",
     "register_pass",
     "run_passes",
-    "save_baseline",
 ]
 
 #: Default lint targets, relative to the repo root.
@@ -94,15 +85,6 @@ class Diagnostic:
     rule: str  # pass rule id, e.g. "dtype-width"
     message: str
     hint: str = ""  # how to fix (or how to suppress with a reason)
-    #: The offending source line, stripped — the baseline key content,
-    #: stable under edits elsewhere in the file.
-    line_text: str = ""
-
-    @property
-    def key(self) -> str:
-        """Baseline identity: file + rule + line *content* (not line
-        number, which drifts under unrelated edits)."""
-        return f"{self.path}::{self.rule}::{self.line_text}"
 
     def format(self) -> str:
         loc = f"{self.path}:{self.line}:{self.col + 1}"
@@ -192,11 +174,6 @@ class SourceModule:
         return cls(path, text)
 
     # ------------------------------------------------------------------
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
-
     def segment(self, node: ast.AST) -> str:
         """Source text of ``node`` (empty when unavailable)."""
         return ast.get_source_segment(self.text, node) or ""
@@ -217,7 +194,7 @@ class LintPass:
 
     Subclasses set :attr:`rule` (the kebab-case id diagnostics and
     suppressions use) and implement :meth:`run`.  The shared
-    :meth:`diag` helper stamps the path/line/col/line-text so every
+    :meth:`diag` helper stamps the path/line/col so every
     pass reports identically.
     """
 
@@ -230,15 +207,13 @@ class LintPass:
 
     def diag(self, module: SourceModule, node: ast.AST, message: str,
              hint: str = "") -> Diagnostic:
-        lineno = getattr(node, "lineno", 1)
         return Diagnostic(
             path=module.path,
-            line=lineno,
+            line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             rule=self.rule,
             message=message,
             hint=hint,
-            line_text=module.line_text(lineno),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -252,8 +227,8 @@ class FlowPass(LintPass):
     function in the module and hands each to :meth:`run_cfg`; passes
     express their invariant as a transfer function over
     :func:`~repro.analysis.dataflow.solve_forward` instead of a
-    pattern match.  Registration, suppressions and baselining are
-    identical to plain passes.
+    pattern match.  Registration and suppressions are identical to
+    plain passes.
     """
 
     def run(self, module: SourceModule) -> List[Diagnostic]:
@@ -282,12 +257,13 @@ def pass_names() -> Tuple[str, ...]:
 
 
 def get_passes(names: Optional[Iterable[str]] = None) -> List[LintPass]:
-    """Resolve a selection of passes (all registered when omitted)."""
+    """Resolve a selection of passes (all registered when omitted); a
+    repeated id selects its pass once, at its first position."""
     _ensure_builtin_passes()
     if names is None:
         return list(_REGISTRY.values())
     selected = []
-    for name in names:
+    for name in dict.fromkeys(names):
         if name not in _REGISTRY:
             raise KeyError(
                 f"unknown lint pass {name!r}; registered: "
@@ -313,11 +289,15 @@ def _ensure_builtin_passes() -> None:
 def collect_modules(
     root: Path, targets: Sequence[str] = DEFAULT_TARGETS
 ) -> List[SourceModule]:
-    """Parse every ``*.py`` under ``root``'s target directories."""
+    """Parse each target file and every ``*.py`` under each target
+    directory of ``root``; absent targets are skipped."""
     root = Path(root)
     modules: List[SourceModule] = []
     for target in targets:
         base = root / target
+        if base.is_file():
+            modules.append(SourceModule.from_file(base, root))
+            continue
         if not base.exists():
             continue
         for file_path in sorted(base.rglob("*.py")):
@@ -356,94 +336,3 @@ def run_passes(
             )
     findings.sort(key=lambda d: (d.path, d.line, d.col, d.rule))
     return findings
-
-
-# ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-#: v2 stores occurrence-indexed keys (``<content key>#<n>``) as a flat
-#: list: two findings whose stripped line text is identical within one
-#: file no longer collide on a single counted entry, so waiving one of
-#: them never silently waives the other.  v1 (``{key: count}``) files
-#: are still accepted and migrated on load.
-BASELINE_VERSION = 2
-DEFAULT_BASELINE_NAME = "lint_baseline.json"
-
-
-@dataclass
-class BaselineDiff:
-    """Findings split against a committed baseline."""
-
-    new: List[Diagnostic] = field(default_factory=list)
-    known: List[Diagnostic] = field(default_factory=list)
-    #: Baseline keys no longer matched by any finding — stale entries
-    #: (``--strict`` fails on them so the baseline can only shrink).
-    stale: List[str] = field(default_factory=list)
-
-
-def baseline_keys(findings: Sequence[Diagnostic]) -> List[str]:
-    """Occurrence-indexed baseline keys, aligned with ``findings``.
-
-    The n-th finding sharing one content key (same file, rule and
-    stripped line text) gets ``<key>#<n>`` (1-based, in report order —
-    which :func:`run_passes` keeps sorted and therefore stable).
-    """
-    seen: Dict[str, int] = {}
-    keys: List[str] = []
-    for diagnostic in findings:
-        n = seen.get(diagnostic.key, 0) + 1
-        seen[diagnostic.key] = n
-        keys.append(f"{diagnostic.key}#{n}")
-    return keys
-
-
-def load_baseline(path: Path) -> Set[str]:
-    """Occurrence-indexed baseline keys (empty if no file).
-
-    Accepts the current v2 list format and migrates v1 counted entries
-    (``{key: count}`` becomes ``key#1 .. key#count``) transparently.
-    """
-    path = Path(path)
-    if not path.exists():
-        return set()
-    payload = json.loads(path.read_text())
-    version = payload.get("version")
-    entries = payload.get("entries", [])
-    if version == 1:
-        return {
-            f"{key}#{i}"
-            for key, count in entries.items()
-            for i in range(1, int(count) + 1)
-        }
-    if version != BASELINE_VERSION:
-        raise ValueError(
-            f"unsupported lint baseline version {version!r} "
-            f"in {path} (expected {BASELINE_VERSION})"
-        )
-    return {str(k) for k in entries}
-
-
-def save_baseline(path: Path, findings: Sequence[Diagnostic]) -> List[str]:
-    """Freeze ``findings`` as the new baseline; returns the entries."""
-    entries = sorted(baseline_keys(findings))
-    payload = {"version": BASELINE_VERSION, "entries": entries}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    return entries
-
-
-def diff_against_baseline(
-    findings: Sequence[Diagnostic], baseline: Set[str]
-) -> BaselineDiff:
-    """Split findings into new-vs-known; surplus occurrences of a known
-    key (the same line duplicated again) index past the baselined ones
-    and count as new."""
-    diff = BaselineDiff()
-    matched: Set[str] = set()
-    for diagnostic, indexed in zip(findings, baseline_keys(findings)):
-        if indexed in baseline:
-            matched.add(indexed)
-            diff.known.append(diagnostic)
-        else:
-            diff.new.append(diagnostic)
-    diff.stale = sorted(set(baseline) - matched)
-    return diff

@@ -1,13 +1,13 @@
-"""Resource-lifecycle and exception-safety flow passes.
+"""The resource-lifecycle flow pass.
 
 The transport layer's correctness contract is a lifecycle contract:
 every shared-memory segment is closed by everyone and unlinked exactly
 once *by its creator*, every pipe end is closed, every acquired lock is
 released — on every path, including the ones that only exist because a
 ``recv`` raised.  PR 7 encoded the creator-owns-unlink asymmetry in
-prose and in ``finally`` blocks; these passes encode it as a dataflow
-problem over the function CFG so the elastic-recovery rewrite cannot
-quietly regress it.
+prose and in ``finally`` blocks; this pass encodes it as a dataflow
+problem over the function CFG so a transport edit cannot quietly
+regress it.
 
 :class:`LifecyclePass` (rule ``lifecycle``) tracks local variables
 bound to resource constructors (:data:`RESOURCES` — plain data, extend
@@ -30,13 +30,12 @@ finally" bug.  A resource whose cleanup is ownership transfer (append
 to a list the caller's ``finally`` walks) never trips the exceptional
 case, because there is no release call to skip.
 
-:class:`ExceptionSafetyPass` (rule ``exception-safety``) is the
-escape-aware companion: between a bare ``lock.acquire()`` and its
-``release()``, any attribute/subscript store is shared-state mutation;
-if a raise edge can reach the function exit while the lock is held and
-mutated, the invariants the lock guards can be observed half-applied
-(and the lock is lost).  ``with lock:`` is immune by construction —
-the CFG's ``with-exit`` node releases on every outgoing path.
+Held locks are one more row: ``x.acquire()`` creates a ``held-lock``
+instance that owes ``release()``, so a bare acquire whose critical
+section can raise before the release is a finding at the acquire
+line — the raise loses the lock and strands whatever the section had
+half-applied.  ``with lock:`` is immune by construction: the CFG's
+``with-exit`` node releases on every outgoing path.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from .dataflow import (
 from .engine import Diagnostic, FlowPass, SourceModule, register_pass
 
 __all__ = [
-    "ExceptionSafetyPass",
     "LifecyclePass",
     "RESOURCES",
     "ResourceSpec",
@@ -144,7 +142,7 @@ RESOURCES: Tuple[ResourceSpec, ...] = (
     ResourceSpec(
         name="held-lock",
         # Created by the `.acquire()` *event*, not a constructor —
-        # see LifecyclePass._lock_acquires.
+        # see LifecyclePass._acquisitions.
         duties=frozenset({"release"}),
     ),
 )
@@ -399,99 +397,4 @@ class LifecyclePass(FlowPass):
         return acquired
 
 
-# ----------------------------------------------------------------------
-# Exception safety: mutations a raise edge can strand
-# ----------------------------------------------------------------------
-#: var -> set of (acquire line, mutated?, travelled-exception-edge?).
-_LockState = Dict[str, FrozenSet[Tuple[int, bool, bool]]]
-
-
-def _lock_join(a: _LockState, b: _LockState) -> _LockState:
-    out = dict(a)
-    for var, holds in b.items():
-        out[var] = out.get(var, frozenset()) | holds
-    return out
-
-
-def _mutates_shared_state(roots: List[ast.AST]) -> bool:
-    """Attribute/subscript stores (``self.x = ...``, ``d[k] = ...``)
-    are mutations of state that outlives the function."""
-    for root in roots:
-        for node in ast.walk(root):
-            if isinstance(node, (ast.Attribute, ast.Subscript)) \
-                    and isinstance(node.ctx, (ast.Store, ast.Del)):
-                return True
-            if isinstance(node, ast.AugAssign) and isinstance(
-                node.target, (ast.Attribute, ast.Subscript)
-            ):
-                return True
-    return False
-
-
-class ExceptionSafetyPass(FlowPass):
-    rule = "exception-safety"
-    title = "no shared-state mutation a raise edge can strand mid-flight"
-    description = (
-        "flow-sensitive: between a bare lock.acquire() and its "
-        "release(), an exception path that skips the release leaves "
-        "the guarded state half-applied; use try/finally or `with`"
-    )
-
-    def run_cfg(self, module: SourceModule, cfg: CFG) -> List[Diagnostic]:
-        if cfg.name in _LOCK_WRAPPER_FUNCS:
-            return []
-
-        def transfer(node: CFGNode, state: _LockState):
-            stmt = node.stmt
-            if stmt is None or node.kind in ("finally", "except",
-                                             "with-exit"):
-                return state, state
-            roots = header_roots(node)
-            calls = [n for root in roots for n in ast.walk(root)
-                     if isinstance(n, ast.Call)]
-            out = {var: set(holds) for var, holds in state.items()}
-            acquires: List[Tuple[str, int]] = []
-            for call in calls:
-                func = call.func
-                if not (isinstance(func, ast.Attribute)
-                        and isinstance(func.value, ast.Name)):
-                    continue
-                if func.attr == "release":
-                    out.pop(func.value.id, None)
-                elif func.attr == "acquire":
-                    acquires.append((func.value.id, call.lineno))
-            if out and _mutates_shared_state(roots):
-                out = {
-                    var: {(line, True, exc) for line, _m, exc in holds}
-                    for var, holds in out.items()
-                }
-            exc_state = {
-                var: frozenset((line, mutated, True)
-                               for line, mutated, _e in holds)
-                for var, holds in out.items()
-            }
-            for var, line in acquires:
-                out[var] = {(line, False, False)}
-            normal_state = {v: frozenset(h) for v, h in out.items()}
-            return normal_state, exc_state
-
-        in_states = solve_forward(cfg, {}, transfer, _lock_join)
-        findings: Dict[int, Diagnostic] = {}
-        for var, holds in sorted(in_states.get(cfg.exit, {}).items()):
-            for line, mutated, via_exception in sorted(holds):
-                if mutated and via_exception and line not in findings:
-                    findings[line] = self.diag(
-                        module, _site(line),
-                        f"state mutated while holding {var!r} can be "
-                        "stranded: an exception path skips "
-                        f"{var}.release(), leaving the guarded "
-                        "invariants half-applied",
-                        hint="wrap the critical section in try/finally "
-                        "or use `with` so the release (and any "
-                        "invariant repair) runs on the raise path too",
-                    )
-        return sorted(findings.values(), key=lambda d: (d.line, d.col))
-
-
 register_pass(LifecyclePass())
-register_pass(ExceptionSafetyPass())

@@ -3,18 +3,18 @@
 Usage (via the top-level CLI)::
 
     repro lint                      # lint src/ + benchmarks/, text report
-    repro lint --format json        # machine-readable findings
     repro lint --format github      # ::error annotations for Actions
-    repro lint --strict             # also fail on stale baseline entries
-    repro lint --update-baseline    # freeze current findings
+    repro lint --format sarif       # SARIF 2.1.0 log for code scanning
     repro lint --list-passes        # rule catalogue
     repro lint --select dtype-width,blocking-in-lock src/repro/dist
-    repro lint --paths src,benchmarks  # same as positional targets
 
-Exit codes: 0 clean (or all findings baselined), 1 new findings (or,
-under ``--strict``, stale baseline entries), 2 usage/parse errors —
-including a named target (positional or ``--paths``) that does not
-exist, so a mistyped CI path cannot pass green by linting nothing.
+Every finding fails the run; the one way to accept a finding is an
+inline ``# repro-lint: ignore[rule-id]`` waiver at its line.
+
+Exit codes: 0 clean, 1 findings, 2 usage/parse errors — including a
+named target that does not exist and a run that collects no module at
+all (a mistyped target or ``--root``), so a mistyped CI path cannot
+pass green by linting nothing.
 """
 
 from __future__ import annotations
@@ -26,16 +26,11 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .engine import (
-    DEFAULT_BASELINE_NAME,
     DEFAULT_TARGETS,
     Diagnostic,
-    SourceModule,
     collect_modules,
-    diff_against_baseline,
     get_passes,
-    load_baseline,
     run_passes,
-    save_baseline,
 )
 
 __all__ = ["build_parser", "main", "run_lint"]
@@ -70,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "github", "sarif"),
+        choices=("text", "github", "sarif"),
         default="text",
         help="report format (default: text); `github` emits Actions "
         "::error annotations that render inline on PRs, `sarif` emits "
@@ -83,34 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         "stdout stay parseable)",
     )
     parser.add_argument(
-        "--paths",
-        default=None,
-        help="comma-separated directories/files to lint (merged with "
-        "any positional targets; handy where positionals are awkward, "
-        "e.g. workflow matrices)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline file (default: <root>/{DEFAULT_BASELINE_NAME})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding as new",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="freeze the current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="also fail when the baseline has stale entries "
-        "(keeps the baseline shrink-only)",
-    )
-    parser.add_argument(
         "--select",
         default=None,
         help="comma-separated rule ids to run (default: all)",
@@ -121,18 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the registered pass catalogue and exit",
     )
     return parser
-
-
-def _collect(root: Path, targets: Sequence[str]) -> List[SourceModule]:
-    """Like :func:`collect_modules` but targets may also be files."""
-    modules: List[SourceModule] = []
-    for target in targets:
-        path = root / target
-        if path.is_file():
-            modules.append(SourceModule.from_file(path, root))
-        else:
-            modules.extend(collect_modules(root, [target]))
-    return modules
 
 
 def _escape_data(text: str) -> str:
@@ -153,16 +108,16 @@ def _github_annotation(diagnostic: Diagnostic) -> str:
         message += f"\nhint: {diagnostic.hint}"
     return (
         f"::error file={_escape_property(diagnostic.path)},"
-        f"line={diagnostic.line},col={diagnostic.col},"
+        f"line={diagnostic.line},col={diagnostic.col + 1},"
         f"title={_escape_property('repro lint [' + diagnostic.rule + ']')}"
         f"::{_escape_data(message)}"
     )
 
 
-def _sarif_payload(diff, passes) -> dict:
+def _sarif_payload(findings, passes) -> dict:
     """A SARIF 2.1.0 log: rule metadata straight from the pass
-    registry, one result per *new* finding (baselined findings are
-    suppressed upstream, matching every other format)."""
+    registry, one result per finding (waived findings are dropped
+    upstream, matching every other format)."""
     rules = [
         {
             "id": p.rule,
@@ -175,7 +130,7 @@ def _sarif_payload(diff, passes) -> dict:
     ]
     rule_index = {p.rule: i for i, p in enumerate(passes)}
     results = []
-    for d in diff.new:
+    for d in findings:
         message = d.message + (f"\nhint: {d.hint}" if d.hint else "")
         results.append({
             "ruleId": d.rule,
@@ -222,8 +177,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     root = Path(args.root).resolve()
     targets = list(args.targets or ())
-    if args.paths:
-        targets += [p.strip() for p in args.paths.split(",") if p.strip()]
     if targets:
         missing = [t for t in targets if not (root / t).exists()]
         if missing:
@@ -237,12 +190,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         select = [s.strip() for s in args.select.split(",") if s.strip()]
 
     try:
-        modules = _collect(root, targets)
+        modules = collect_modules(root, targets)
+        passes = get_passes(select)
         timings: List = []
-        findings = run_passes(modules, get_passes(select),
+        findings = run_passes(modules, passes,
                               timings=timings if args.profile else None)
     except (SyntaxError, KeyError, OSError) as exc:
         print(f"repro lint: error: {exc}", file=sys.stderr)
+        return 2
+    if not modules:
+        print(f"repro lint: error: no Python file to lint under {root} "
+              f"(targets: {', '.join(targets)})", file=sys.stderr)
         return 2
     if args.profile:
         total = sum(seconds for _, seconds in timings)
@@ -252,65 +210,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"profile: {'total':<18} {total * 1000.0:9.2f} ms",
               file=sys.stderr)
 
-    baseline_path = (
-        Path(args.baseline) if args.baseline
-        else root / DEFAULT_BASELINE_NAME
-    )
-
-    if args.update_baseline:
-        entries = save_baseline(baseline_path, findings)
-        print(
-            f"baseline updated: {len(entries)} unique finding(s) "
-            f"({len(findings)} total) -> {baseline_path}"
-        )
-        return 0
-
-    baseline = set() if args.no_baseline else load_baseline(baseline_path)
-    diff = diff_against_baseline(findings, baseline)
-    failed = bool(diff.new) or (args.strict and bool(diff.stale))
-
     if args.format == "sarif":
-        print(json.dumps(_sarif_payload(diff, get_passes(select)),
+        print(json.dumps(_sarif_payload(findings, passes),
                          indent=2))
-    elif args.format == "github":
-        for diagnostic in diff.new:
-            print(_github_annotation(diagnostic))
-        summary = (
-            f"{len(modules)} file(s) checked, "
-            f"{len(diff.new)} new finding(s)"
-        )
-        if diff.stale:
-            summary += f", {len(diff.stale)} stale baseline entrie(s)"
-        print(("FAIL: " if failed else "OK: ") + summary)
-    elif args.format == "json":
-        payload = {
-            "root": str(root),
-            "passes": [p.rule for p in get_passes(select)],
-            "modules": len(modules),
-            "new": [d.__dict__ for d in diff.new],
-            "known": [d.__dict__ for d in diff.known],
-            "stale_baseline_keys": diff.stale,
-        }
-        print(json.dumps(payload, indent=2))
     else:
-        for diagnostic in diff.new:
-            print(diagnostic.format())
-        if diff.known:
-            print(f"({len(diff.known)} known finding(s) in baseline)")
-        if diff.stale:
-            print(
-                f"{len(diff.stale)} stale baseline entrie(s) — fixed "
-                "findings still waived; run --update-baseline to shrink:"
-            )
-            for key in diff.stale:
-                print(f"  {key}")
-        summary = (
-            f"{len(modules)} file(s) checked, "
-            f"{len(diff.new)} new finding(s)"
-        )
-        print(("FAIL: " if failed else "OK: ") + summary)
+        for diagnostic in findings:
+            print(_github_annotation(diagnostic) if args.format == "github"
+                  else diagnostic.format())
+        print(("FAIL: " if findings else "OK: ")
+              + f"{len(modules)} file(s) checked, "
+              f"{len(findings)} finding(s)")
 
-    return 1 if failed else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

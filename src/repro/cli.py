@@ -19,10 +19,10 @@ default), exchanging boundary features/gradients for real:
 
 ``lint`` runs the repo's invariant static-analysis passes (dtype-width
 discipline, metering discipline, kernel purity, concurrency hygiene,
-determinism, resource lifecycle, exception safety) over ``src/`` and
-``benchmarks/``:
+determinism, resource lifecycle) over ``src/`` and ``benchmarks/``;
+every finding fails the run unless waived inline at its line:
 
-    python -m repro lint --strict
+    python -m repro lint
 """
 
 from __future__ import annotations

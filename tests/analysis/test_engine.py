@@ -1,32 +1,19 @@
-"""Engine mechanics: diagnostics, registry, suppressions, baseline."""
-
-import json
+"""Engine mechanics: diagnostics, registry, suppressions."""
 
 import pytest
 
 from repro.analysis.engine import (
-    BASELINE_VERSION,
     Diagnostic,
     LintPass,
     SourceModule,
     collect_modules,
-    diff_against_baseline,
     get_passes,
-    load_baseline,
     pass_names,
     run_passes,
-    save_baseline,
 )
 
 
 class TestDiagnostic:
-    def test_key_is_content_addressed_not_line_addressed(self):
-        a = Diagnostic(path="a.py", line=10, col=0, rule="r",
-                       message="m", line_text="x = 8 * n")
-        b = Diagnostic(path="a.py", line=99, col=4, rule="r",
-                       message="m", line_text="x = 8 * n")
-        assert a.key == b.key
-
     def test_format_includes_location_rule_and_hint(self):
         d = Diagnostic(path="a.py", line=3, col=4, rule="dtype-width",
                        message="boom", hint="use scalar_nbytes")
@@ -52,10 +39,18 @@ class TestRegistry:
             "dtype-width", "blocking-in-lock",
         ]
         # Lock order and object protocols are checked at runtime
-        # (REPRO_SANITIZE=locks/protocol), not by a lint pass.
-        for name in ("no-such-rule", "typestate", "lock-order"):
+        # (REPRO_SANITIZE=locks/protocol), not by a lint pass; a lock
+        # released on every path is `lifecycle`'s held-lock row.
+        for name in ("no-such-rule", "typestate", "lock-order",
+                     "exception-safety"):
             with pytest.raises(KeyError, match="unknown lint pass"):
                 get_passes([name])
+
+    def test_repeated_id_selects_its_pass_once(self):
+        selected = get_passes(
+            ["dtype-width", "determinism", "dtype-width"]
+        )
+        assert [p.rule for p in selected] == ["dtype-width", "determinism"]
 
     def test_passes_have_titles_and_rule_ids(self):
         for p in get_passes():
@@ -124,70 +119,6 @@ class TestRunPasses:
         assert [d.path for d in found] == ["a.py", "b.py"]
 
 
-class TestBaseline:
-    def _diag(self, text, line=1):
-        return Diagnostic(path="a.py", line=line, col=0, rule="r",
-                          message="m", line_text=text)
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        findings = [self._diag("x = 8"), self._diag("x = 8", line=9),
-                    self._diag("y = 4")]
-        entries = save_baseline(path, findings)
-        # Identical stripped lines no longer collide: each occurrence
-        # gets its own ``#n``-indexed entry.
-        assert f"{findings[0].key}#1" in entries
-        assert f"{findings[0].key}#2" in entries
-        assert len(entries) == 3
-        loaded = load_baseline(path)
-        assert loaded == set(entries)
-        payload = json.loads(path.read_text())
-        assert payload["version"] == BASELINE_VERSION
-
-    def test_missing_file_is_empty_baseline(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == set()
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(ValueError, match="version"):
-            load_baseline(path)
-
-    def test_v1_counted_baseline_migrates(self, tmp_path):
-        d = self._diag("x = 8")
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps(
-            {"version": 1, "entries": {d.key: 2}}
-        ))
-        loaded = load_baseline(path)
-        assert loaded == {f"{d.key}#1", f"{d.key}#2"}
-        # A v1 pair of duplicate findings stays fully baselined...
-        diff = diff_against_baseline(
-            [d, self._diag("x = 8", line=9)], loaded
-        )
-        assert len(diff.known) == 2 and diff.new == [] and diff.stale == []
-
-    def test_diff_splits_new_known_stale(self, tmp_path):
-        known = self._diag("x = 8")
-        gone = self._diag("z = 8")
-        path = tmp_path / "baseline.json"
-        save_baseline(path, [known, gone])
-        new = self._diag("y = 4")
-        diff = diff_against_baseline([known, new], load_baseline(path))
-        assert [d.key for d in diff.known] == [known.key]
-        assert [d.key for d in diff.new] == [new.key]
-        assert diff.stale == [f"{gone.key}#1"]
-
-    def test_surplus_occurrences_of_known_key_are_new(self, tmp_path):
-        d = self._diag("x = 8")
-        path = tmp_path / "baseline.json"
-        save_baseline(path, [d])
-        dupe = self._diag("x = 8", line=7)
-        diff = diff_against_baseline([d, dupe], load_baseline(path))
-        assert len(diff.known) == 1
-        assert len(diff.new) == 1
-
-
 class TestCollectModules:
     def test_collects_only_python_under_targets(self, tmp_path):
         (tmp_path / "src").mkdir()
@@ -197,3 +128,6 @@ class TestCollectModules:
         (tmp_path / "other" / "c.py").write_text("y = 2\n")
         mods = collect_modules(tmp_path, ["src", "missing"])
         assert [m.path for m in mods] == ["src/a.py"]
+        # A target may also name one file.
+        mods = collect_modules(tmp_path, ["src", "other/c.py"])
+        assert [m.path for m in mods] == ["src/a.py", "other/c.py"]

@@ -342,8 +342,8 @@ class TestDeterminism:
 @pytest.mark.parametrize("rule", [
     "dtype-width", "metering", "kernel-purity", "discarded-result",
     "blocking-in-lock", "determinism",
-    # Flow-sensitive (CFG) rules — fixtures in test_flow_passes.py.
-    "lifecycle", "exception-safety",
+    # Flow-sensitive (CFG) rule — fixtures in test_flow_passes.py.
+    "lifecycle",
 ])
 def test_every_registered_pass_has_a_fixture_class(rule):
     """Meta-check: the parametrised rule list above must cover exactly
@@ -357,6 +357,6 @@ def test_no_registered_pass_lacks_fixtures():
     covered = {
         "dtype-width", "metering", "kernel-purity", "discarded-result",
         "blocking-in-lock", "determinism",
-        "lifecycle", "exception-safety",
+        "lifecycle",
     }
     assert set(pass_names()) == covered
