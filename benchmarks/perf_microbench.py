@@ -194,22 +194,21 @@ def time_spmm_dtypes(runtime, p: float, reps: int, d: int = 64) -> dict:
 
 
 def time_spmm_backends(runtime, p: float, reps: int, d: int = 64) -> dict:
-    """Kernel backend shoot-out on the same plan: stacked CSR vs the
-    two-pass ``split`` reference vs the fused one-pass kernels, forward
-    and backward, at fp64 and fp32.
+    """SpMM on the same plan: stacked CSR vs the fused one-pass kernel,
+    forward and backward, at fp64 and fp32.
 
-    The fused numpy kernel's cached merge/transpose builds are timed
+    The fused kernel's cached merge/transpose builds are timed
     separately (they amortise over layers x epochs x directions); the
     per-call numbers are steady state.  ``fused_over_stacked`` is the
     guarded ratio: the fused forward must stay within a small factor of
-    the stacked matmul — the two-pass split path's 25-40% gap is the
-    thing this backend closes.
+    the stacked matmul.
     """
-    from repro.tensor.kernels import backend_names, resolve_backend
+    from repro.tensor.kernels import KernelBackend
 
+    kernel = KernelBackend()
     rank = max(runtime.ranks, key=lambda r: r.n_boundary)
     plan = BoundaryNodeSampler(p).plan(rank, np.random.default_rng(33))
-    out = {"d": d, "reps": reps, "backends": sorted(backend_names())}
+    out = {"d": d, "reps": reps}
     for label, dtype in (("fp64", np.float64), ("fp32", np.float32)):
         op = plan.prop.astype(dtype)
         h = np.random.default_rng(34).normal(
@@ -239,39 +238,28 @@ def time_spmm_backends(runtime, p: float, reps: int, d: int = 64) -> dict:
             stacked_t @ g
         section["stacked_bwd_ms"] = round(
             (time.perf_counter() - t0) / reps * 1e3, 4)
-        ref_fwd = stacked @ h
-        for name in out["backends"]:
-            backend = resolve_backend(name)
-            backend.split_spmm_forward(op, h)  # warm the operator caches
-            backend.split_spmm_backward(op, g)
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                fwd = backend.split_spmm_forward(op, h)
-            section[f"{name}_fwd_ms"] = round(
-                (time.perf_counter() - t0) / reps * 1e3, 4)
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                backend.split_spmm_backward(op, g)
-            section[f"{name}_bwd_ms"] = round(
-                (time.perf_counter() - t0) / reps * 1e3, 4)
-            err = float(np.abs(fwd - ref_fwd).max())
-            assert err < (1e-9 if dtype is np.float64 else 1e-3), (
-                f"backend {name} diverged from stacked reference: {err}")
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            fwd = kernel.split_spmm_forward(op, h)
+        section["numpy_fwd_ms"] = round(
+            (time.perf_counter() - t0) / reps * 1e3, 4)
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            kernel.split_spmm_backward(op, g)
+        section["numpy_bwd_ms"] = round(
+            (time.perf_counter() - t0) / reps * 1e3, 4)
+        err = float(np.abs(fwd - stacked @ h).max())
+        assert err < (1e-9 if dtype is np.float64 else 1e-3), (
+            f"fused kernel diverged from stacked reference: {err}")
         section["fused_over_stacked"] = round(
             section["numpy_fwd_ms"] / section["stacked_fwd_ms"], 3)
-        section["fused_over_split_fwdbwd"] = round(
-            (section["numpy_fwd_ms"] + section["numpy_bwd_ms"])
-            / (section["split_fwd_ms"] + section["split_bwd_ms"]), 3)
         out[label] = section
-        msg = "  ".join(
-            f"{name} {section[f'{name}_fwd_ms']:.3f}/"
-            f"{section[f'{name}_bwd_ms']:.3f}"
-            for name in out["backends"]
-        )
         print(
-            f"spmm backends [{label}] fwd/bwd ms: "
+            f"spmm [{label}] fwd/bwd ms: "
             f"stacked {section['stacked_fwd_ms']:.3f}/"
-            f"{section['stacked_bwd_ms']:.3f}  {msg}  "
+            f"{section['stacked_bwd_ms']:.3f}  "
+            f"fused {section['numpy_fwd_ms']:.3f}/"
+            f"{section['numpy_bwd_ms']:.3f}  "
             f"fused/stacked {section['fused_over_stacked']:.2f}x"
         )
     return out

@@ -3,19 +3,17 @@
 The repo's load-bearing invariants — the byte ledger meters exactly
 what ships, scalar widths flow through
 :func:`~repro.tensor.dtype.scalar_nbytes` instead of hard-coded
-``4``/``8`` constants, split-SpMM kernels go through the
-:mod:`repro.tensor.kernels` registry, timed waits are never silently
+``4``/``8`` constants, split-SpMM products stay in the
+:mod:`repro.tensor.kernels` layer, timed waits are never silently
 discarded — used to be enforced only by the tests that broke *after*
 a violation shipped.  This module enforces them *before*: each
 invariant is a :class:`LintPass` that walks a file's AST and emits
 :class:`Diagnostic` records with a file, line, rule id and a fix hint.
 
-The machinery mirrors the kernel-backend registry idiom
-(:mod:`repro.tensor.kernels`): passes are tiny named singletons in a
-module-level registry (:func:`register_pass` / :func:`pass_names` /
-:func:`get_passes`), so a new invariant is one class + one
-registration, and the CLI / pytest self-check / CI pick it up without
-further wiring.
+Passes are tiny named singletons in a module-level registry
+(:func:`register_pass` / :func:`pass_names` / :func:`get_passes`), so a
+new invariant is one class + one registration, and the CLI / pytest
+self-check / CI pick it up without further wiring.
 
 Two mechanisms keep the engine honest on a real tree:
 
@@ -187,7 +185,7 @@ class SourceModule:
 
 
 # ----------------------------------------------------------------------
-# Pass interface and registry (the kernel-backend idiom)
+# Pass interface and registry
 # ----------------------------------------------------------------------
 class LintPass:
     """One named invariant check over a :class:`SourceModule`.
@@ -274,8 +272,7 @@ def get_passes(names: Optional[Iterable[str]] = None) -> List[LintPass]:
 
 
 def _ensure_builtin_passes() -> None:
-    """Import the built-in pass modules (they self-register on import,
-    like the kernel backends do)."""
+    """Import the built-in pass modules (they self-register on import)."""
     from . import (  # noqa: F401
         concurrency,
         lifecycle,

@@ -19,8 +19,8 @@ the test that failed after it broke:
     bytes the ledger never sees.
 
 ``kernel-purity``
-    Split-operator SpMM goes through the :mod:`repro.tensor.kernels`
-    registry: direct scipy matmuls on a
+    Split-operator SpMM stays in the :mod:`repro.tensor.kernels`
+    layer: direct scipy matmuls on a
     :class:`~repro.tensor.sparse.SplitOperator`'s block attributes are
     the kernel layer's privilege (``# repro-lint: layer=kernels``).
 
@@ -248,7 +248,7 @@ class MeteringPass(LintPass):
 
 class KernelPurityPass(LintPass):
     rule = "kernel-purity"
-    title = "split-SpMM goes through the kernel registry"
+    title = "split-SpMM stays in the kernel layer"
     description = (
         "direct scipy matmuls on SplitOperator block attributes are the "
         "kernel layer's privilege; everything else dispatches via "
@@ -257,12 +257,11 @@ class KernelPurityPass(LintPass):
 
     #: Attribute names that identify a split-operator block.
     _BLOCK_ATTRS = (
-        "fused_csr", "fused_csr_t", "inner_t", "boundary_t", "boundary_csr",
+        "fused_csr", "fused_csr_t", "boundary_csr",
     )
     _HINT = (
-        "dispatch through the registered backend (op.matmul / op.rmatmul "
-        "or kernels.get_backend().split_spmm_*); raw block matmuls belong "
-        "to files marked '# repro-lint: layer=kernels'"
+        "dispatch through the kernel layer (op.matmul / op.rmatmul); raw "
+        "block matmuls belong to files marked '# repro-lint: layer=kernels'"
     )
 
     def _is_block_attr(self, node: ast.AST) -> bool:

@@ -18,9 +18,10 @@ default), exchanging boundary features/gradients for real:
         --sampling-rate 0.1 --n-epochs 20 --transport multiprocess
 
 ``lint`` runs the repo's invariant static-analysis passes (dtype-width
-discipline, metering discipline, kernel purity, concurrency hygiene,
-determinism, resource lifecycle) over ``src/`` and ``benchmarks/``;
-every finding fails the run unless waived inline at its line:
+discipline, metering discipline, SpMM kept in the kernel layer,
+concurrency hygiene, determinism, resource lifecycle) over ``src/`` and
+``benchmarks/``; every finding fails the run unless waived inline at
+its line:
 
     python -m repro lint
 """
@@ -45,8 +46,6 @@ from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.models import GATModel, GCNModel, GraphSAGEModel
 from .nn.schedulers import CosineAnnealingLR, StepLR
 from .partition import partition_graph
-from .tensor import set_backend
-from .tensor.kernels import backend_names as kernel_backend_names
 
 __all__ = [
     "build_parser",
@@ -99,13 +98,6 @@ def _common_options() -> argparse.ArgumentParser:
              "the byte ledger meters the chosen scalar width (8 B fp64, "
              "4 B fp32).  Defaults to the library default (REPRO_DTYPE "
              "env var, else float64)",
-    )
-    common.add_argument(
-        "--kernel-backend", default=None, choices=kernel_backend_names(),
-        help="split-SpMM kernel implementation: numpy (fused one-pass, "
-             "the default) or split (two-pass reference).  Defaults to the library default (REPRO_KERNEL_BACKEND env "
-             "var, else numpy); dist-train workers resolve the same "
-             "backend rank-side",
     )
     common.add_argument("--n-hidden", type=int, default=64)
     common.add_argument("--n-layers", type=int, default=2)
@@ -212,11 +204,6 @@ def dist_train_main(argv: Sequence[str]) -> int:
     args = parser.parse_args(argv)
     if args.n_epochs < 1:
         parser.error(f"--n-epochs must be >= 1, got {args.n_epochs}")
-    if args.kernel_backend:
-        # Make the choice the process default so every code path
-        # (including evaluation) runs the same kernels the workers will
-        # resolve rank-side.
-        set_backend(args.kernel_backend)
     graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     if not args.quiet:
         print(f"loaded {graph}")
@@ -236,7 +223,7 @@ def dist_train_main(argv: Sequence[str]) -> int:
         transport=args.transport, lr=args.lr, seed=args.seed,
         aggregation="sym" if args.model == "gcn" else "mean",
         schedule=args.schedule, timeout=args.timeout,
-        dtype=args.dtype, kernel_backend=args.kernel_backend,
+        dtype=args.dtype,
     )
     if not args.quiet:
         print(
@@ -254,7 +241,6 @@ def dist_train_main(argv: Sequence[str]) -> int:
     rows = [
         ["transport", executor.transport.name],
         ["schedule", args.schedule],
-        ["kernel backend", executor.kernel_backend.name],
         ["dtype", f"{executor.dtype} ({executor.transport.bytes_per_scalar} B/scalar)"],
         ["test score", f"{scores['test']:.4f}"],
         ["val score", f"{scores['val']:.4f}"],
@@ -293,11 +279,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: {', '.join(unsupported)} is not supported with "
                   "--model gat", file=sys.stderr)
             return 2
-    if args.kernel_backend:
-        # One process-wide switch covers every trainer (the GAT trainer
-        # takes no backend argument and resolves this default).
-        set_backend(args.kernel_backend)
-
     graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     if not args.quiet:
         print(f"loaded {graph}")
@@ -337,7 +318,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             graph, partition, model, sampler, lr=args.lr, seed=args.seed,
             cluster=RTX2080TI_CLUSTER,
             aggregation="sym" if args.model == "gcn" else "mean",
-            dtype=args.dtype, kernel_backend=args.kernel_backend,
+            dtype=args.dtype,
         )
 
     if args.resume:
@@ -368,7 +349,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     scores = trainer.evaluate()
     rows = [
-        ["kernel backend", trainer.kernel_backend.name],
         ["dtype", f"{trainer.dtype} ({trainer.comm.bytes_per_scalar} B/scalar)"],
         ["test score", f"{scores['test']:.4f}"],
         ["val score", f"{scores['val']:.4f}"],

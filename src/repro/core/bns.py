@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from ..graph.graph import Graph
 from ..graph.propagation import mean_aggregation, safe_inverse, sym_norm
 from ..partition.types import PartitionResult
-from ..tensor import SplitOperator, resolve_backend, resolve_dtype
+from ..tensor import SplitOperator, resolve_dtype
 
 __all__ = ["RankData", "PartitionRuntime", "derive_seeds"]
 
@@ -60,7 +60,7 @@ class RankData:
     val_local: np.ndarray
     test_local: np.ndarray
     # Lazily-built, per-rank structures shared by every epoch plan
-    # (CSC views, transposes, degree vectors, degenerate operators).
+    # (CSC views, degree vectors, degenerate operators).
     _cache: Dict[str, object] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -79,8 +79,7 @@ class RankData:
     # does NOT depend on the draw is built once here and reused:
     # column-sliceable CSC views of the boundary blocks, the inner
     # degree vector (renorm-mode row scales become one SpMV on the kept
-    # block plus this vector), shared inner transposes for the SpMM
-    # backward, and the p ∈ {0, 1} degenerate operators.
+    # block plus this vector), and the p ∈ {0, 1} degenerate operators.
 
     def _cached(self, key: str, build):
         if key not in self._cache:
@@ -104,14 +103,6 @@ class RankData:
         return self._cached(
             "inner_deg", lambda: np.asarray(self.a_in.sum(axis=1)).ravel()
         )
-
-    @property
-    def a_in_t(self) -> sp.csr_matrix:
-        return self._cached("a_in_t", lambda: self.a_in.T.tocsr())
-
-    @property
-    def p_in_t(self) -> sp.csr_matrix:
-        return self._cached("p_in_t", lambda: self.p_in.T.tocsr())
 
     def inner_edges(self, mode: str):
         """(row, col) per stored edge of the inner block, in CSR data
@@ -188,14 +179,12 @@ class RankData:
             return self._cached(
                 "empty_renorm",
                 lambda: SplitOperator(
-                    self.a_in,
-                    row_scale=safe_inverse(self.inner_deg),
-                    inner_t=self.a_in_t,
+                    self.a_in, row_scale=safe_inverse(self.inner_deg)
                 ),
             )
         return self._cached(
             "empty_scale",
-            lambda: SplitOperator(self.p_in, inner_t=self.p_in_t),
+            lambda: SplitOperator(self.p_in),
         )
 
     def full_operator(self) -> SplitOperator:
@@ -206,7 +195,6 @@ class RankData:
                 self.p_in,
                 self.p_bd_csc if self.n_boundary else None,
                 np.arange(self.n_boundary, dtype=np.int64),
-                inner_t=self.p_in_t,
             ),
         )
 
@@ -214,7 +202,6 @@ class RankData:
         """Eagerly build the shared structures (done at runtime setup so
         the first epoch's plan cost matches the steady state)."""
         self.a_bd_csc, self.p_bd_csc, self.inner_deg
-        self.a_in_t, self.p_in_t
         # boundary_degree / boundary_keep_probs stay lazy: they cost
         # O(nnz) / a water-filling only the importance sampler reads,
         # and each is cached on first use (per rank, per config).
@@ -260,14 +247,6 @@ class PartitionRuntime:
     (and therefore every epoch plan's operator): float32 halves the
     operator memory and roughly doubles SpMM throughput.  The default
     is the library default (float64 unless changed).
-
-    ``kernel_backend`` names the split-SpMM kernel implementation
-    (:mod:`repro.tensor.kernels`) every epoch plan built on this
-    runtime should run under; ``None`` resolves to the process default
-    (``REPRO_KERNEL_BACKEND`` env, else the fused ``numpy`` kernels).
-    The runtime only *holds* the resolved backend — the trainers scope
-    it around their epoch bodies, and the distributed executor ships
-    its name so workers resolve the same backend rank-side.
     """
 
     def __init__(
@@ -276,10 +255,8 @@ class PartitionRuntime:
         partition: PartitionResult,
         aggregation: str = "mean",
         dtype=None,
-        kernel_backend=None,
     ) -> None:
         self.dtype = resolve_dtype(dtype)
-        self.kernel_backend = resolve_backend(kernel_backend)
         if aggregation == "mean":
             prop = mean_aggregation(graph.adj, dtype=self.dtype)
         elif aggregation == "sym":

@@ -184,13 +184,7 @@ def _renorm_plan_op(rank_data, kept: np.ndarray) -> SplitOperator:
     shared by the uniform and importance node samplers."""
     bd = rank_data.a_bd_csc[:, kept]
     deg = rank_data.inner_deg + np.asarray(bd.sum(axis=1)).ravel()
-    return SplitOperator(
-        rank_data.a_in,
-        bd,
-        kept,
-        row_scale=safe_inverse(deg),
-        inner_t=rank_data.a_in_t,
-    )
+    return SplitOperator(rank_data.a_in, bd, kept, row_scale=safe_inverse(deg))
 
 
 def _check_mode(mode: str) -> str:
@@ -292,7 +286,6 @@ class BoundaryNodeSampler(BoundarySampler):
                 rank_data.p_bd_csc[:, kept],
                 kept,
                 col_scale=1.0 / self.p,
-                inner_t=rank_data.p_in_t,
             )
         # Touched: one Bernoulli draw per boundary node + the kept
         # columns' edges (slice + degree SpMV).
@@ -438,7 +431,6 @@ class ImportanceBoundarySampler(BoundarySampler):
                 rank_data.p_bd_csc[:, kept],
                 kept,
                 col_scale=weights,
-                inner_t=rank_data.p_in_t,
             )
         # Touched: one Bernoulli draw per boundary node + the kept
         # columns' edges — π itself is served from the rank-level
@@ -531,16 +523,10 @@ class BoundaryEdgeSampler(BoundarySampler):
         if self.mode == "renorm":
             deg = rank_data.inner_deg + np.asarray(sub.sum(axis=1)).ravel()
             op = SplitOperator(
-                rank_data.a_in,
-                sub,
-                kept,
-                row_scale=safe_inverse(deg),
-                inner_t=rank_data.a_in_t,
+                rank_data.a_in, sub, kept, row_scale=safe_inverse(deg)
             )
         else:
-            op = SplitOperator(
-                rank_data.p_in, sub, kept, inner_t=rank_data.p_in_t
-            )
+            op = SplitOperator(rank_data.p_in, sub, kept)
         # Touched: one Bernoulli draw per boundary *edge* + the
         # surviving edges re-packed into the kept block.
         bd_universe_nnz = rank_data.a_bd.nnz

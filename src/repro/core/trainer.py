@@ -48,7 +48,7 @@ from ..nn.metrics import evaluate_full_graph
 from ..nn.module import resolve_model_dtype
 from ..nn.optim import Adam, Optimizer
 from ..partition.types import PartitionResult
-from ..tensor import Tensor, gather_concat, gather_rows, relu, use_backend
+from ..tensor import Tensor, gather_concat, gather_rows, relu, resolve_backend, use_backend
 from .bns import PartitionRuntime, RankData, derive_seeds
 from .sampler import BoundarySampler, EpochPlan, FullBoundarySampler, plan_sampling_ops
 
@@ -113,11 +113,10 @@ class DistributedTrainer:
         actual scalar width shipped, not an assumed 4 bytes.  Given
         explicitly, the model is cast to it in place.
     kernel_backend:
-        Split-SpMM kernel implementation
-        (:mod:`repro.tensor.kernels`) the epoch bodies run under —
-        ``"numpy"`` (fused one-pass, the default) or ``"split"``
-        (two-pass reference).  ``None`` resolves to the process
-        default (``REPRO_KERNEL_BACKEND``).
+        Name of a backend registered with
+        :func:`~repro.tensor.kernels.register_backend` that the epoch
+        bodies run under — the seam a benchmark uses to wrap the fused
+        SpMM kernel.  ``None`` keeps the fused kernel.
     """
 
     #: Whether the modelled epoch hides boundary traffic behind compute
@@ -142,10 +141,9 @@ class DistributedTrainer:
         self.dtype = resolve_model_dtype(model, dtype, optimizer)
         self.graph = graph
         self.runtime = PartitionRuntime(
-            graph, partition, aggregation=aggregation, dtype=self.dtype,
-            kernel_backend=kernel_backend,
+            graph, partition, aggregation=aggregation, dtype=self.dtype
         )
-        self.kernel_backend = self.runtime.kernel_backend
+        self.kernel_backend = resolve_backend(kernel_backend)
         self.model = model
         self.sampler = sampler or FullBoundarySampler()
         self.comm = resolve_transport(

@@ -92,7 +92,7 @@ from ..nn.models import GCNModel, GraphSAGEModel
 from ..nn.module import resolve_model_dtype
 from ..nn.optim import Adam
 from ..partition.types import PartitionResult
-from ..tensor import Tensor, concat_rows, gather_rows, relu, use_backend
+from ..tensor import Tensor, concat_rows, gather_rows, relu
 from .cost_model import layer_flops
 from .transport import Endpoint, resolve_transport
 
@@ -140,10 +140,6 @@ class _RankTask:
     #: dtype-width lint exists to keep out.
     dtype: str
     schedule: str = "synchronous"
-    #: Kernel-backend *name* (never the instance): the worker resolves
-    #: it against its own registry, so a rank in a fresh process runs
-    #: the same kernels as the parent regardless of start method.
-    kernel_backend: str = "numpy"
 
 
 @dataclass
@@ -423,11 +419,6 @@ def _run_rank(ep: Endpoint, task: _RankTask) -> _RankOutcome:
         # lock-order graph; a forked worker must not inherit edges the
         # parent observed among its own (distinct) lock instances.
         lock_sanitizer.reset_graph()
-    with use_backend(task.kernel_backend):
-        return _run_rank_epochs(ep, task)
-
-
-def _run_rank_epochs(ep: Endpoint, task: _RankTask) -> _RankOutcome:
     loop = _RankLoop(ep, task)
     outcome = _RankOutcome(
         rank=task.rank, local_losses=[], sampling_seconds=[],
@@ -503,15 +494,6 @@ class ProcessRankExecutor:
         shard — operator blocks, features, replica, gradients — ships
         and computes in this dtype, and the transport meters its actual
         scalar width.
-    kernel_backend:
-        Split-SpMM kernel implementation
-        (:mod:`repro.tensor.kernels`) every rank's epoch body runs
-        under.  Resolved parent-side (so an unknown name fails fast,
-        before any worker launches) and shipped to the workers by
-        *name* — each rank re-resolves it against its own registry, so
-        the same kernels run rank-side whatever the process start
-        method.  ``None`` → the process default
-        (``REPRO_KERNEL_BACKEND``).
     """
 
     def __init__(
@@ -527,7 +509,6 @@ class ProcessRankExecutor:
         schedule: str = "synchronous",
         timeout: float = 300.0,
         dtype=None,
-        kernel_backend=None,
     ) -> None:
         if isinstance(model, GraphSAGEModel):
             self._model_kind = "sage"
@@ -545,10 +526,8 @@ class ProcessRankExecutor:
         self.dtype = resolve_model_dtype(model, dtype)
         self.graph = graph
         self.runtime = PartitionRuntime(
-            graph, partition, aggregation=aggregation, dtype=self.dtype,
-            kernel_backend=kernel_backend,
+            graph, partition, aggregation=aggregation, dtype=self.dtype
         )
-        self.kernel_backend = self.runtime.kernel_backend
         self.model = model
         self.sampler = sampler or FullBoundarySampler()
         self.lr = lr
@@ -602,7 +581,6 @@ class ProcessRankExecutor:
                 multilabel=bool(self.graph.multilabel),
                 dtype=str(self.dtype),
                 schedule=self.schedule,
-                kernel_backend=self.kernel_backend.name,
             )
             for r in self.runtime.ranks
         ]

@@ -1,87 +1,46 @@
-"""Pluggable kernel backends for the split-operator SpMM.
+"""The split-operator SpMM kernel.
 
 The split-form product ``rowscale ⊙ (P_in @ H_in + P_bd·colscale @
-H_bd)`` is the hot loop of every sampled epoch, and how it is computed
-is a *backend* decision, not an operator decision: the same
-:class:`~repro.tensor.sparse.SplitOperator` can be driven by scipy's
-two-pass split kernels or by a fused one-pass CSR kernel.
-This module is the seam: a tiny registry of named backends, each
-exposing two primitives —
+H_bd)`` is the hot loop of every sampled epoch.  It runs as one fused
+pass per direction: the inner and boundary blocks are merged once per
+operator into a single CSR whose values already carry ``col_scale`` and
+``row_scale`` (:func:`merge_split_csr`, one O(nnz) pass, cached on the
+operator), so every forward is exactly one sparse pass — no ``h_bd``
+copy, no post-hoc row rescale, no second ``out +=`` accumulation.  The
+backward runs one pass over the cached transpose of the same merged
+matrix.
+
+:class:`KernelBackend` is that kernel, exposing two primitives —
 
 * ``split_spmm_forward(op, h)``  → ``P_eff @ h``
 * ``split_spmm_backward(op, g)`` → ``P_eff.T @ g``
 
-with the scale vectors folded into the traversal instead of applied as
-separate dense passes.  Registered backends:
-
-``numpy`` (default)
-    Fused one-pass kernel: the inner and boundary blocks are merged
-    once per operator into a single CSR whose values already carry
-    ``col_scale`` and ``row_scale`` (:func:`merge_split_csr`, one
-    O(nnz) pass, cached on the operator like ``inner_t`` is), so every
-    subsequent forward is exactly one sparse pass — no ``h_bd`` copy,
-    no post-hoc row rescale, no second ``out +=`` accumulation.  The
-    backward runs one pass over the cached transpose of the same
-    merged matrix.
-
-``split``
-    The reference two-pass implementation (inner product + boundary
-    product + dense scale passes) — the shape every epoch paid before
-    the fused kernel existed.  Kept registered for benchmarking and
-    conformance testing.
-
-Selection: the ``REPRO_KERNEL_BACKEND`` environment variable pre-sets
-the process default (mirroring ``REPRO_DTYPE``), :func:`set_backend` /
-:class:`use_backend` switch it at runtime, and the trainers, the
-distributed executor and the CLI (``--kernel-backend``) thread an
-explicit choice end to end — a multiprocess worker resolves the same
-backend rank-side from the shipped task spec.  A future torch/GPU
-backend plugs into this registry without touching the operator or the
-trainers.
+``SplitOperator.matmul``/``rmatmul`` call them on the active backend.
+A subclass registered with :func:`register_backend` and scoped with
+:func:`use_backend` (or named as a trainer's ``kernel_backend=``) can
+wrap the kernel, which is how ``benchmarks/e2e`` times SpMM.
 """
-# repro-lint: layer=kernels — this registry IS the kernel layer the
+# repro-lint: layer=kernels — this module IS the kernel layer the
 # kernel-purity pass protects; raw matmuls on SplitOperator blocks are
 # legal here and nowhere else.
 
 from __future__ import annotations
 
-import os
+import contextlib
 import threading
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
     "KernelBackend",
-    "backend_names",
     "get_backend",
     "merge_split_csr",
     "register_backend",
     "resolve_backend",
-    "set_backend",
     "use_backend",
 ]
-
-#: Environment variable that pre-sets the process-wide default backend.
-ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-
-# ----------------------------------------------------------------------
-# Shared scale helpers
-# ----------------------------------------------------------------------
-def _scale_rows(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """``scale ⊙ x`` for 1-D or 2-D ``x`` (scale has len(x) entries)."""
-    return x * (scale[:, None] if x.ndim == 2 else scale)
-
-
-def _apply_col_scale(op, x: np.ndarray) -> np.ndarray:
-    """Scale the per-kept-column rows of ``x`` ((k, d) or (k,)) by
-    ``op.col_scale`` — a scalar broadcast or an elementwise vector."""
-    cs = op.col_scale
-    if np.ndim(cs) == 0 or x.ndim == 1:
-        return x * cs
-    return x * cs[:, None]
 
 
 def merge_split_csr(
@@ -142,24 +101,28 @@ def merge_split_csr(
 
 
 # ----------------------------------------------------------------------
-# Backend interface and registry
+# The kernel and its registry
 # ----------------------------------------------------------------------
 class KernelBackend:
-    """One named implementation of the split-SpMM primitives.
+    """The fused kernel: one sparse pass per direction over the
+    operator's merged CSR.
 
-    Subclasses implement :meth:`split_spmm_forward` /
-    :meth:`split_spmm_backward` over a
+    The merge (:func:`merge_split_csr`) folds both scale vectors into
+    the stored values and is cached on the operator, so the steady
+    state — every layer of every epoch reusing the same plan — costs
+    exactly one scipy CSR·dense product.  ``op`` is a
     :class:`~repro.tensor.sparse.SplitOperator` (duck-typed — this
-    module never imports the operator class) and a raw ndarray operand.
+    module never imports the operator class) and the operand a raw
+    ndarray.
     """
 
-    name: str = "base"
+    name: str = "numpy"
 
     def split_spmm_forward(self, op, h: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return op.fused_csr @ h
 
     def split_spmm_backward(self, op, g: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return op.fused_csr_t @ g
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
@@ -172,11 +135,6 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
     """Add ``backend`` to the registry (later names shadow earlier)."""
     _REGISTRY[backend.name] = backend
     return backend
-
-
-def backend_names() -> Tuple[str, ...]:
-    """All registered backend names (CLI choices)."""
-    return tuple(_REGISTRY)
 
 
 def resolve_backend(
@@ -193,122 +151,32 @@ def resolve_backend(
     except KeyError:
         raise ValueError(
             f"unknown kernel backend {spec!r}; registered: "
-            + ", ".join(backend_names())
+            + ", ".join(_REGISTRY)
         ) from None
 
 
 def get_backend() -> KernelBackend:
-    """The currently active backend: the innermost :class:`use_backend`
-    scope on this thread, else the process default (``numpy`` unless
-    changed)."""
+    """The currently active backend: the innermost :func:`use_backend`
+    scope on this thread, else the fused kernel."""
     stack = getattr(_tls, "stack", None)
-    return stack[-1] if stack else _current
+    return stack[-1] if stack else _default
 
 
-def set_backend(spec: Union[str, KernelBackend]) -> KernelBackend:
-    """Set the process-default backend; returns the previous default.
-
-    Scoped, thread-safe selection (what the trainers and the rank
-    workers use) goes through :class:`use_backend` instead — the
-    thread-based transport runs every rank in one process, and a rank
-    finishing early must not flip its siblings' kernels mid-epoch.
-    """
-    global _current
-    previous = _current
-    _current = resolve_backend(spec)
-    return previous
-
-
-class use_backend:
-    """Context manager scoping a backend change to the current thread.
-
-    >>> with use_backend("split"):
-    ...     out = op.matmul(h)  # two-pass reference kernels
+@contextlib.contextmanager
+def use_backend(spec: Union[None, str, KernelBackend]):
+    """Scope a backend change to the current thread.
 
     The override nests and is thread-local, so concurrent rank threads
     each carry their own scope.
     """
-
-    def __init__(self, spec: Union[None, str, KernelBackend]) -> None:
-        self._backend = resolve_backend(spec)
-
-    def __enter__(self) -> KernelBackend:
-        stack = getattr(_tls, "stack", None)
-        if stack is None:
-            stack = _tls.stack = []
-        stack.append(self._backend)
-        return self._backend
-
-    def __exit__(self, *exc) -> None:
-        _tls.stack.pop()
+    backend = resolve_backend(spec)
+    stack = _tls.__dict__.setdefault("stack", [])
+    stack.append(backend)
+    try:
+        yield backend
+    finally:
+        stack.pop()
 
 
-# ----------------------------------------------------------------------
-# split — the two-pass reference implementation
-# ----------------------------------------------------------------------
-class SplitReferenceBackend(KernelBackend):
-    """Two sparse passes plus separate dense scale passes (the
-    pre-fusion shape of ``SplitOperator.matmul``/``rmatmul``)."""
-
-    name = "split"
-
-    def split_spmm_forward(self, op, h: np.ndarray) -> np.ndarray:
-        n_in = op.inner.shape[1]
-        out = op.inner @ h[:n_in]
-        if op.boundary is not None:
-            h_bd = h[n_in:]
-            if op.col_scale is not None:
-                h_bd = _apply_col_scale(op, h_bd)
-            out += op.boundary_csr @ h_bd
-        if op.row_scale is not None:
-            out = _scale_rows(out, op.row_scale)
-        return out
-
-    def split_spmm_backward(self, op, g: np.ndarray) -> np.ndarray:
-        if op.row_scale is not None:
-            g = _scale_rows(g, op.row_scale)
-        n_in = op.inner.shape[1]
-        k = op.boundary.shape[1] if op.boundary is not None else 0
-        out = np.empty((n_in + k,) + g.shape[1:], dtype=g.dtype)
-        out[:n_in] = op.inner_t @ g
-        if op.boundary is not None:
-            d_bd = op.boundary_t @ g
-            if op.col_scale is not None:
-                d_bd = _apply_col_scale(op, d_bd)
-            out[n_in:] = d_bd
-        return out
-
-
-# ----------------------------------------------------------------------
-# numpy — fused one-pass kernel over the merged, scale-folded CSR
-# ----------------------------------------------------------------------
-class NumpyFusedBackend(KernelBackend):
-    """One sparse pass per direction over the operator's merged CSR.
-
-    The merge (:func:`merge_split_csr`) folds both scale vectors into
-    the stored values and is cached on the operator, so the steady
-    state — every layer of every epoch reusing the same plan — costs
-    exactly one scipy CSR·dense product, closing the measured 25–40%
-    gap the two-pass split path paid over a stacked matmul.
-    """
-
-    name = "numpy"
-
-    def split_spmm_forward(self, op, h: np.ndarray) -> np.ndarray:
-        return op.fused_csr @ h
-
-    def split_spmm_backward(self, op, g: np.ndarray) -> np.ndarray:
-        return op.fused_csr_t @ g
-
-
-# ----------------------------------------------------------------------
-# Registration and process default
-# ----------------------------------------------------------------------
-_numpy_backend = register_backend(NumpyFusedBackend())
-register_backend(SplitReferenceBackend())
-
+_default = register_backend(KernelBackend())
 _tls = threading.local()
-_current: KernelBackend = _numpy_backend
-_env_choice = os.environ.get(ENV_VAR)
-if _env_choice:
-    _current = resolve_backend(_env_choice)

@@ -17,8 +17,9 @@ operator representations are provided:
   row-scale vector, so per-epoch plan construction touches only the
   kept boundary set.  ``spmm`` computes
   ``rowscale ⊙ (P_in @ H_in + P_bd_kept @ (colscale ⊙ H_bd))``
-  without ever forming ``[P̃_in | P̃_bd]``; the backward multiplies by
-  the transposed blocks (the inner transpose is shared across epochs).
+  from one merged, scale-folded CSR built once per plan, without
+  ever forming ``[P̃_in | P̃_bd]`` through hstack and diagonal
+  products; the backward multiplies by that CSR's cached transpose.
 
 :func:`spmm` dispatches on the operator type; its backward multiplies
 by ``P.T`` — exactly what DGL's ``update_all`` with a copy/sum message
@@ -27,14 +28,10 @@ function compiles to.  The matrix values never require gradients
 :mod:`repro.tensor.ops` instead), so the implementation stays simple
 and fast.
 
-*How* the split product is computed is delegated to the pluggable
-kernel registry in :mod:`repro.tensor.kernels`:
-``SplitOperator.matmul``/``rmatmul`` call the active backend's
-``split_spmm_forward``/``split_spmm_backward`` primitives (fused
-one-pass ``numpy`` by default; two-pass ``split`` reference),
-selected via ``REPRO_KERNEL_BACKEND``,
-:func:`~repro.tensor.kernels.set_backend` or the CLI's
-``--kernel-backend``.
+The split product itself is computed by the fused kernel in
+:mod:`repro.tensor.kernels`: ``SplitOperator.matmul``/``rmatmul`` call
+the active backend's ``split_spmm_forward``/``split_spmm_backward``
+primitives.
 """
 
 from __future__ import annotations
@@ -118,7 +115,7 @@ class SparseOp:
     def csr_t(self) -> sp.csr_matrix:
         """Cached CSR transpose — the SpMM backward multiplies by it on
         every call, so the O(nnz) conversion happens once per operator
-        (mirroring ``SplitOperator.inner_t``), not once per forward."""
+        (mirroring ``SplitOperator.fused_csr_t``), not once per forward."""
         if self._csr_t is None:
             self._csr_t = self.csr.T.tocsr()
         return self._csr_t
@@ -161,10 +158,6 @@ class SplitOperator:
         is the uniform 1/p rescale of the unbiased BNS estimator; the
         vector form carries per-column Horvitz–Thompson weights
         ``1/π_v`` for importance-weighted boundary sampling.
-    inner_t:
-        Optional precomputed CSR transpose of ``inner``; pass the
-        rank-level cached transpose so the SpMM backward does not
-        re-transpose the (immutable) inner block every epoch.
     """
 
     __slots__ = (
@@ -173,8 +166,6 @@ class SplitOperator:
         "kept_cols",
         "row_scale",
         "col_scale",
-        "_inner_t",
-        "_boundary_t",
         "_boundary_csr",
         "_csr",
         "_fused_csr",
@@ -188,7 +179,6 @@ class SplitOperator:
         kept_cols: Optional[np.ndarray] = None,
         row_scale: Optional[np.ndarray] = None,
         col_scale: Optional[Union[float, np.ndarray]] = None,
-        inner_t: Optional[sp.csr_matrix] = None,
     ) -> None:
         self.inner = inner
         if boundary is not None and boundary.shape[1] == 0:
@@ -214,8 +204,6 @@ class SplitOperator:
         if self.boundary is None:
             col_scale = None
         self.col_scale = col_scale
-        self._inner_t = inner_t
-        self._boundary_t = None
         self._boundary_csr = None
         self._csr = None
         self._fused_csr = None
@@ -229,7 +217,6 @@ class SplitOperator:
         kept_cols: np.ndarray,
         row_scale: Optional[np.ndarray] = None,
         col_scale: Optional[Union[float, np.ndarray]] = None,
-        inner_t: Optional[sp.csr_matrix] = None,
     ) -> "SplitOperator":
         """Select ``kept_cols`` from a prebuilt boundary CSC universe.
 
@@ -238,7 +225,7 @@ class SplitOperator:
         """
         kept_cols = np.asarray(kept_cols, dtype=np.int64)
         bd = boundary_csc[:, kept_cols] if kept_cols.size else None
-        return cls(inner, bd, kept_cols, row_scale, col_scale, inner_t)
+        return cls(inner, bd, kept_cols, row_scale, col_scale)
 
     # ------------------------------------------------------------------
     @property
@@ -269,7 +256,6 @@ class SplitOperator:
             self.kept_cols,
             self.row_scale.astype(target) if self.row_scale is not None else None,
             col_scale,
-            self._inner_t.astype(target) if self._inner_t is not None else None,
         )
 
     @property
@@ -285,21 +271,9 @@ class SplitOperator:
         return self.inner_nnz + self.boundary_nnz
 
     @property
-    def inner_t(self) -> sp.csr_matrix:
-        if self._inner_t is None:
-            self._inner_t = self.inner.T.tocsr()
-        return self._inner_t
-
-    @property
-    def boundary_t(self):
-        if self._boundary_t is None and self.boundary is not None:
-            self._boundary_t = self.boundary.T.tocsr()
-        return self._boundary_t
-
-    @property
     def boundary_csr(self):
-        """CSR view of the boundary block (row-major products are
-        faster; converted once per plan, reused every layer)."""
+        """CSR view of the boundary block, converted once per plan —
+        the row-major form :attr:`fused_csr` merges from."""
         if self._boundary_csr is None and self.boundary is not None:
             self._boundary_csr = sp.csr_matrix(self.boundary)
         return self._boundary_csr
@@ -334,7 +308,7 @@ class SplitOperator:
 
     @property
     def fused_csr(self) -> sp.csr_matrix:
-        """The merged, scale-folded CSR the fused numpy kernel runs on.
+        """The merged, scale-folded CSR the fused kernel runs on.
 
         Numerically identical to :attr:`csr` but built in one
         vectorised pass (:func:`~repro.tensor.kernels.merge_split_csr`)

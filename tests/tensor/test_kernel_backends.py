@@ -1,13 +1,11 @@
-"""Kernel backend registry and conformance: every registered backend
-must agree with the materialised stacked operator (and with numpy's
-dense arithmetic) across the full split-operator configuration matrix —
-scalar/vector col_scale, row_scale on/off, empty boundary, 1-D
-operands, fp32/fp64.
+"""The SpMM kernel and the seam around it: the fused kernel must agree
+with the materialised stacked operator (``op.csr``) across the full
+split-operator configuration matrix — scalar/vector col_scale,
+row_scale on/off, empty boundary, 1-D operands, fp32/fp64 — and a
+registered wrapper named as a trainer's ``kernel_backend=`` must see
+every SpMM without changing what the trainer computes.
 """
 
-import os
-import subprocess
-import sys
 import threading
 
 import numpy as np
@@ -18,16 +16,15 @@ from hypothesis import given, settings, strategies as st
 from repro.tensor import SparseOp, SplitOperator, Tensor, spmm
 from repro.tensor.kernels import (
     KernelBackend,
-    backend_names,
     get_backend,
     merge_split_csr,
+    register_backend,
     resolve_backend,
-    set_backend,
     use_backend,
 )
 
 
-BACKENDS = backend_names()
+KERNEL = KernelBackend()
 
 TOL = {np.float64: 1e-12, np.float32: 1e-5}
 
@@ -59,62 +56,58 @@ def make_op(
     return op.astype(dtype)
 
 
-def dense_reference(op, h):
-    return op.csr.toarray() @ h
-
-
 class TestConformance:
-    """Every backend vs the dense stacked reference."""
+    """The fused kernel vs the stacked reference ``op.csr``."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("col_scale", [None, 2.5, "vector"])
     @pytest.mark.parametrize("row_scale", [False, True])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_forward_backward(self, backend, col_scale, row_scale, dtype):
+    def test_forward_backward(self, col_scale, row_scale, dtype):
         op = make_op(seed=3, col_scale=col_scale, row_scale=row_scale,
                      dtype=dtype)
         rng = np.random.default_rng(7)
         h = rng.normal(size=(op.shape[1], 5)).astype(dtype)
         g = rng.normal(size=(op.shape[0], 5)).astype(dtype)
-        b = resolve_backend(backend)
-        fwd = b.split_spmm_forward(op, h)
-        bwd = b.split_spmm_backward(op, g)
+        fwd = KERNEL.split_spmm_forward(op, h)
+        bwd = KERNEL.split_spmm_backward(op, g)
         assert fwd.dtype == dtype and bwd.dtype == dtype
         np.testing.assert_allclose(
-            fwd, dense_reference(op, h), atol=TOL[dtype], rtol=TOL[dtype]
+            fwd, op.csr.toarray() @ h, atol=TOL[dtype], rtol=TOL[dtype]
         )
         np.testing.assert_allclose(
             bwd, op.csr.toarray().T @ g, atol=TOL[dtype], rtol=TOL[dtype]
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_boundary(self, backend):
-        op = make_op(seed=5, empty_boundary=True, row_scale=True)
+    @pytest.mark.parametrize("row_scale", [False, True])
+    def test_empty_boundary(self, row_scale):
+        op = make_op(seed=5, empty_boundary=True, row_scale=row_scale)
         assert op.boundary is None
         h = np.random.default_rng(8).normal(size=(op.shape[1], 4))
         g = np.random.default_rng(9).normal(size=(op.shape[0], 4))
-        b = resolve_backend(backend)
         np.testing.assert_allclose(
-            b.split_spmm_forward(op, h), dense_reference(op, h), atol=1e-12
+            KERNEL.split_spmm_forward(op, h), op.csr.toarray() @ h, atol=1e-12
         )
         np.testing.assert_allclose(
-            b.split_spmm_backward(op, g), op.csr.toarray().T @ g, atol=1e-12
+            KERNEL.split_spmm_backward(op, g), op.csr.toarray().T @ g,
+            atol=1e-12,
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_1d_operand(self, backend):
-        op = make_op(seed=11, col_scale="vector", row_scale=True)
-        h = np.random.default_rng(12).normal(size=op.shape[1])
-        g = np.random.default_rng(13).normal(size=op.shape[0])
-        b = resolve_backend(backend)
-        fwd = b.split_spmm_forward(op, h)
-        bwd = b.split_spmm_backward(op, g)
-        assert fwd.shape == (op.shape[0],)
-        assert bwd.shape == (op.shape[1],)
-        np.testing.assert_allclose(fwd, op.csr.toarray() @ h, atol=1e-12)
-        np.testing.assert_allclose(bwd, op.csr.toarray().T @ g, atol=1e-12)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_1d_operand(self, dtype):
+        op = make_op(seed=11, col_scale="vector", row_scale=True, dtype=dtype)
+        h = np.random.default_rng(12).normal(size=op.shape[1]).astype(dtype)
+        g = np.random.default_rng(13).normal(size=op.shape[0]).astype(dtype)
+        fwd = KERNEL.split_spmm_forward(op, h)
+        bwd = KERNEL.split_spmm_backward(op, g)
+        assert fwd.shape == (op.shape[0],) and fwd.dtype == dtype
+        assert bwd.shape == (op.shape[1],) and bwd.dtype == dtype
+        np.testing.assert_allclose(
+            fwd, op.csr.toarray() @ h, atol=TOL[dtype], rtol=TOL[dtype]
+        )
+        np.testing.assert_allclose(
+            bwd, op.csr.toarray().T @ g, atol=TOL[dtype], rtol=TOL[dtype]
+        )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
@@ -124,8 +117,8 @@ class TestConformance:
         col_kind=st.sampled_from([None, "scalar", "vector"]),
         row_scale=st.booleans(),
     )
-    def test_property_matches_dense(
-        self, backend, seed, n_in, n_bd, d, col_kind, row_scale
+    def test_property_matches_stacked(
+        self, seed, n_in, n_bd, d, col_kind, row_scale
     ):
         rng = np.random.RandomState(seed)
         inner = sp.random(n_in, n_in, density=0.5, random_state=rng).tocsr()
@@ -146,23 +139,33 @@ class TestConformance:
         op = SplitOperator.select(inner, bd, kept, row_scale=rs, col_scale=cs)
         h = rng.normal(size=(op.shape[1], d))
         g = rng.normal(size=(op.shape[0], d))
-        b = resolve_backend(backend)
         np.testing.assert_allclose(
-            b.split_spmm_forward(op, h), op.csr.toarray() @ h, atol=1e-10
+            KERNEL.split_spmm_forward(op, h), op.csr.toarray() @ h, atol=1e-10
         )
         np.testing.assert_allclose(
-            b.split_spmm_backward(op, g), op.csr.toarray().T @ g, atol=1e-10
+            KERNEL.split_spmm_backward(op, g), op.csr.toarray().T @ g,
+            atol=1e-10,
         )
 
 
 class TestMergeSplitCsr:
-    def test_matches_materialised_csr(self):
-        op = make_op(seed=17, col_scale="vector", row_scale=True)
+    """``merge_split_csr`` is also what ``benchmarks/e2e`` times, so it
+    is pinned across the same configuration matrix as the kernel."""
+
+    @pytest.mark.parametrize("col_scale", [None, 2.5, "vector"])
+    @pytest.mark.parametrize("row_scale", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_materialised_csr(self, col_scale, row_scale, dtype):
+        op = make_op(seed=17, col_scale=col_scale, row_scale=row_scale,
+                     dtype=dtype)
         merged = merge_split_csr(
             op.inner, op.boundary_csr, op.row_scale, op.col_scale
         )
+        assert merged.dtype == dtype
+        assert merged.shape == op.shape
         np.testing.assert_allclose(
-            merged.toarray(), op.csr.toarray(), atol=1e-12
+            merged.toarray(), op.csr.toarray(), atol=TOL[dtype],
+            rtol=TOL[dtype],
         )
         # canonical structure: sorted column indices within each row
         assert merged.has_sorted_indices
@@ -171,6 +174,16 @@ class TestMergeSplitCsr:
         op = make_op(seed=18, empty_boundary=True)
         merged = merge_split_csr(op.inner, None, None, None)
         assert merged is op.inner
+
+    def test_no_boundary_row_scale_leaves_inner_untouched(self):
+        op = make_op(seed=18, empty_boundary=True, row_scale=True)
+        before = op.inner.toarray()
+        merged = merge_split_csr(op.inner, None, op.row_scale, None)
+        assert merged is not op.inner
+        np.testing.assert_allclose(
+            merged.toarray(), op.row_scale[:, None] * before, atol=1e-12
+        )
+        np.testing.assert_array_equal(op.inner.toarray(), before)
 
     def test_cached_on_operator(self):
         op = make_op(seed=19, col_scale=2.0)
@@ -181,38 +194,63 @@ class TestMergeSplitCsr:
         )
 
 
-class TestRegistry:
-    def test_default_is_numpy(self):
-        assert get_backend().name == "numpy"
+class _Counting(KernelBackend):
+    """A wrapper as a benchmark registers one: delegates to the fused
+    kernel and counts calls per direction."""
 
-    def test_names_include_all(self):
-        assert {"numpy", "split"} <= set(backend_names())
+    name = "test-counting"
+
+    def __init__(self):
+        self.fwd = 0
+        self.bwd = 0
+
+    def split_spmm_forward(self, op, h):
+        self.fwd += 1
+        return super().split_spmm_forward(op, h)
+
+    def split_spmm_backward(self, op, g):
+        self.bwd += 1
+        return super().split_spmm_backward(op, g)
+
+
+class TestRegistry:
+    def test_default_is_fused(self):
+        assert type(get_backend()) is KernelBackend
+        assert get_backend().name == "numpy"
+        assert resolve_backend("numpy") is get_backend()
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
             resolve_backend("bogus")
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            with use_backend("bogus"):
+                pass  # pragma: no cover - never entered
 
     def test_instance_passes_through(self):
-        b = resolve_backend("split")
+        b = _Counting()
         assert resolve_backend(b) is b
 
-    def test_set_backend_returns_previous(self):
-        prev = set_backend("split")
-        try:
-            assert get_backend().name == "split"
-        finally:
-            set_backend(prev)
-        assert get_backend().name == prev.name
+    def test_register_shadows_earlier_name(self):
+        first = register_backend(_Counting())
+        second = register_backend(_Counting())
+        assert resolve_backend(_Counting.name) is second is not first
+        assert get_backend().name == "numpy"
 
     def test_use_backend_scopes_and_nests(self):
-        base = get_backend().name
-        with use_backend("split") as b:
-            assert b.name == "split"
-            assert get_backend().name == "split"
+        probe = register_backend(_Counting())
+        with use_backend(probe.name) as b:
+            assert b is probe
+            assert get_backend() is probe
             with use_backend("numpy"):
                 assert get_backend().name == "numpy"
-            assert get_backend().name == "split"
-        assert get_backend().name == base
+            assert get_backend() is probe
+        assert get_backend().name == "numpy"
+
+    def test_use_backend_pops_on_error(self):
+        with pytest.raises(RuntimeError):
+            with use_backend(_Counting()):
+                raise RuntimeError("epoch failed")
+        assert get_backend().name == "numpy"
 
     def test_use_backend_is_thread_local(self):
         seen = {}
@@ -226,47 +264,21 @@ class TestRegistry:
 
         t = threading.Thread(target=inner_thread)
         t.start()
-        with use_backend("split"):
+        with use_backend(_Counting()):
             ready.set()
             done.wait(5)
             seen["here"] = get_backend().name
         t.join(5)
-        assert seen == {"here": "split", "other": "numpy"}
-
-    def test_env_var_presets_default(self):
-        code = (
-            "from repro.tensor.kernels import get_backend; "
-            "print(get_backend().name)"
-        )
-        env = dict(os.environ, REPRO_KERNEL_BACKEND="split")
-        env["PYTHONPATH"] = "src"
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env=env, cwd=os.path.join(os.path.dirname(__file__), "..", ".."),
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "split"
+        assert seen == {"here": "test-counting", "other": "numpy"}
 
     def test_matmul_dispatches_to_active_backend(self):
-        calls = []
-
-        class Probe(KernelBackend):
-            name = "probe-test"
-
-            def split_spmm_forward(self, op, h):
-                calls.append("fwd")
-                return op.csr @ h
-
-            def split_spmm_backward(self, op, g):
-                calls.append("bwd")
-                return op.csr.T @ g
-
+        probe = _Counting()
         op = make_op(seed=23)
         h = np.ones((op.shape[1], 2))
-        with use_backend(Probe()):
+        with use_backend(probe):
             op.matmul(h)
             op.rmatmul(np.ones((op.shape[0], 2)))
-        assert calls == ["fwd", "bwd"]
+        assert (probe.fwd, probe.bwd) == (1, 1)
 
 
 class TestOperatorCaches:
@@ -303,29 +315,70 @@ class TestOperatorCaches:
             np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
-class TestBackendEquivalenceEndToEnd:
-    """Seeded training is bit-compatible across backend families."""
+class TestKernelBackendSeam:
+    """``kernel_backend=<registered name>`` on the in-process trainers
+    scopes the wrapper around every epoch and changes nothing else."""
 
-    def test_trainer_losses_and_bytes_match(self, small_graph):
-        from repro.core import BoundaryNodeSampler, DistributedTrainer
+    EPOCHS = 3
+
+    @pytest.mark.parametrize(
+        "trainer_name", ["DistributedTrainer", "PipelinedTrainer"]
+    )
+    def test_wrapper_sees_every_spmm_and_changes_nothing(
+        self, small_graph, small_partition, trainer_name
+    ):
+        import repro.core as core
+        from repro.core import BoundaryNodeSampler
         from repro.nn import GCNModel
-        from repro.partition import partition_graph
 
-        part = partition_graph(small_graph, 4, method="metis", seed=0)
+        trainer_cls = getattr(core, trainer_name)
+        n_layers = 2
 
-        def run(backend):
+        counting = register_backend(_Counting())
+
+        def run(**kwargs):
             model = GCNModel(
-                small_graph.feature_dim, 8, small_graph.num_classes, 2, 0.0,
-                np.random.default_rng(1),
+                small_graph.feature_dim, 8, small_graph.num_classes,
+                n_layers, 0.5, np.random.default_rng(1),
             )
-            t = DistributedTrainer(
-                small_graph, part, model, BoundaryNodeSampler(0.5),
-                lr=0.01, seed=0, aggregation="sym", kernel_backend=backend,
+            t = trainer_cls(
+                small_graph, small_partition, model, BoundaryNodeSampler(0.5),
+                lr=0.01, seed=0, aggregation="sym", **kwargs,
             )
-            losses = [t.train_epoch() for _ in range(3)]
-            return losses, list(t.history.comm_bytes)
+            losses, ledgers, fwd_calls = [], [], []
+            for _ in range(self.EPOCHS):
+                before = counting.fwd
+                losses.append(t.train_epoch().hex())
+                fwd_calls.append(counting.fwd - before)
+                ledgers.append(dict(t.comm.meter.by_tag))
+            return losses, ledgers, fwd_calls
 
-        l_fused, b_fused = run("numpy")
-        l_split, b_split = run("split")
-        assert b_fused == b_split  # byte-identical metering
-        np.testing.assert_allclose(l_fused, l_split, rtol=1e-9)
+        losses, ledgers, fwd_calls = run()
+        assert fwd_calls == [0] * self.EPOCHS and counting.bwd == 0
+        w_losses, w_ledgers, w_fwd_calls = run(kernel_backend=counting.name)
+        assert w_fwd_calls == [small_partition.num_parts * n_layers] * self.EPOCHS
+        assert counting.bwd >= 1
+        assert w_losses == losses
+        assert w_ledgers == ledgers
+        # The scope ends with the epoch.
+        assert get_backend().name == "numpy"
+
+    @pytest.mark.parametrize(
+        "trainer_name", ["DistributedTrainer", "PipelinedTrainer"]
+    )
+    def test_unknown_name_fails_at_construction(
+        self, small_graph, small_partition, trainer_name
+    ):
+        import repro.core as core
+        from repro.nn import GCNModel
+
+        trainer_cls = getattr(core, trainer_name)
+
+        model = GCNModel(
+            small_graph.feature_dim, 8, small_graph.num_classes, 2, 0.0,
+            np.random.default_rng(1),
+        )
+        with pytest.raises(ValueError, match="unknown kernel backend 'split'"):
+            trainer_cls(
+                small_graph, small_partition, model, kernel_backend="split"
+            )

@@ -157,12 +157,6 @@ class TestSplitSpmm:
         (out * Tensor(w)).sum().backward()
         np.testing.assert_allclose(h.grad, op.csr.T @ w, atol=1e-9)
 
-    def test_shared_inner_transpose_used(self):
-        inner, bd = make_blocks(seed=11)
-        inner_t = inner.T.tocsr()
-        op = SplitOperator.select(inner, bd, np.array([1]), inner_t=inner_t)
-        assert op.inner_t is inner_t
-
     def test_vector_operand(self):
         inner, bd = make_blocks(seed=12)
         op = SplitOperator.select(inner, bd, np.array([0, 2]))

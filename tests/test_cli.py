@@ -81,6 +81,15 @@ class TestDistTrain:
         with pytest.raises(SystemExit):
             build_dist_parser().parse_args(["--schedule", "eager"])
 
+    @pytest.mark.parametrize("subcommand", [[], ["dist-train"]])
+    def test_rejects_the_removed_kernel_backend_flag(self, subcommand, capsys):
+        """The fused kernel is the only SpMM kernel; ``--kernel-backend``
+        is gone from both subcommands."""
+        with pytest.raises(SystemExit) as exc:
+            main(subcommand + ["--kernel-backend", "numpy"])
+        assert exc.value.code == 2
+        assert "--kernel-backend" in capsys.readouterr().err
+
     def test_pipelined_schedule_end_to_end(self, capsys):
         assert main(DIST_SMALL + ["--transport", "local",
                                   "--schedule", "pipelined",

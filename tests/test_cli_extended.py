@@ -57,12 +57,21 @@ class TestEndToEnd:
         out = capsys.readouterr().out
         assert "epoch    1" in out and "epoch    2" not in out
 
-    def test_gat_honours_lr_schedule_and_kernel_backend(self, capsys):
-        argv = SMALL + ["--model", "gat", "--lr-schedule", "cosine",
-                        "--kernel-backend", "split"]
+    def test_gat_honours_lr_schedule(self, capsys, monkeypatch):
+        import repro.cli as cli
+
+        rates = []
+
+        class RecordingCosine(cli.CosineAnnealingLR):
+            def step(self):
+                rates.append(super().step())
+                return rates[-1]
+
+        monkeypatch.setattr(cli, "CosineAnnealingLR", RecordingCosine)
+        argv = SMALL + ["--model", "gat", "--lr-schedule", "cosine"]
         assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "kernel backend" in out and "split" in out
+        # One step per epoch, cosine over t_max = 3 from the 0.01 base.
+        assert rates == pytest.approx([0.01, 0.0075, 0.0025])
 
     def test_spectral_partition(self, capsys):
         assert main(SMALL + ["--partition-method", "spectral"]) == 0
