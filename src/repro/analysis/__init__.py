@@ -13,12 +13,9 @@ Submodules:
 * :mod:`repro.analysis.lifecycle` — the flow-sensitive resource-
   lifecycle pass (close/unlink/release on every path, raise paths
   included).
-* :mod:`repro.analysis.sanitizer` — the opt-in runtime checkers, one
-  per property: lock order (``REPRO_SANITIZE=locks``), the transport
-  protocol tables and the typestate proxies that read them
-  (``REPRO_SANITIZE=protocol``), and the schedule explorer
-  (``REPRO_SANITIZE=schedule``) for cross-rank message matching,
-  deadlock and leaked exchange handles.
+* :mod:`repro.analysis.sanitizer` — the opt-in runtime checker, the
+  schedule explorer (``REPRO_SANITIZE=schedule``), for cross-rank
+  message matching, deadlock and leaked exchange handles.
 * :mod:`repro.analysis.lint` — the ``repro lint`` CLI.
 """
 
@@ -45,22 +42,10 @@ from .engine import (
 from .lint import run_lint
 from .sanitizer import (
     DeadlockError,
-    PROTOCOLS,
-    LockOrderError,
-    Protocol,
-    ProtocolError,
-    SanitizedLock,
     ScheduleError,
     ScheduleExplorer,
-    TypestateProxy,
-    install_protocol_sanitizer,
     install_schedule_sanitizer,
-    locks_enabled,
-    make_lock,
-    protocol_enabled,
-    protocol_for_class,
     schedule_enabled,
-    wrap_protocol,
 )
 
 __all__ = [
@@ -71,31 +56,19 @@ __all__ = [
     "Diagnostic",
     "FlowPass",
     "LintPass",
-    "LockOrderError",
-    "PROTOCOLS",
-    "Protocol",
-    "ProtocolError",
-    "SanitizedLock",
     "ScheduleError",
     "ScheduleExplorer",
     "SolverDivergence",
     "SourceModule",
-    "TypestateProxy",
     "build_cfg",
     "collect_modules",
     "function_cfgs",
     "get_passes",
-    "install_protocol_sanitizer",
     "install_schedule_sanitizer",
-    "locks_enabled",
-    "make_lock",
     "pass_names",
-    "protocol_enabled",
-    "protocol_for_class",
     "register_pass",
     "run_lint",
     "run_passes",
     "schedule_enabled",
     "solve_forward",
-    "wrap_protocol",
 ]

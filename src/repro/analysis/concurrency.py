@@ -19,9 +19,9 @@ and its one shipped concurrency bug (PR 4's discarded
     ``# repro-lint: ignore[blocking-in-lock]`` on the ``with`` line and
     say why in the comment.
 
-Lock *order* has no static pass: the ``REPRO_SANITIZE=locks``
-sanitizer (:mod:`repro.analysis.sanitizer`) checks the observed
-acquisition order on live locks.
+Lock *order* has no checker: the shm endpoint's per-pipe doorbell
+locks are taken one at a time, and a transport's launch lock is only
+ever taken without blocking, so no acquisition order can deadlock.
 """
 
 from __future__ import annotations

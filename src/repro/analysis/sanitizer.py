@@ -1,56 +1,16 @@
-"""Runtime sanitizers: the repo's checkers for lock order, object
-protocols and cross-rank schedules.
+"""Runtime sanitizer: the repo's checker for cross-rank schedules.
 
-Each is enabled by one token of ``REPRO_SANITIZE`` (a comma-separated
-list) and costs nothing when off.  They check live objects, so they
-see what no reading of the source can: inversions routed through
-callbacks, violations only a second thread produces, and schedules
-only one seed interleaves into.
+``REPRO_SANITIZE=schedule`` enables the repo's one checker for
+cross-rank communication: message matching, deadlock and leaked
+exchange handles.  It checks live ranks, so it sees what no reading of
+the source can: schedules only one seed interleaves into.  It costs
+nothing when off.  Any other ``REPRO_SANITIZE`` token raises
+``ValueError`` instead of silently checking nothing.  (Object
+protocols need no sanitizer: an endpoint refuses data ops after
+``close`` and a transport refuses a re-entered ``launch`` by
+themselves, see :mod:`repro.dist.transport`.)
 
-The ``locks`` token.  :func:`make_lock` is the factory the
-transport/executor layers call wherever they used to call
-``threading.Lock()``.  When sanitising is off (the default —
-``REPRO_SANITIZE`` unset or without ``locks``), it returns a plain
-``threading.Lock``.  When on, it returns a :class:`SanitizedLock` that
-
-* keeps a thread-local stack of currently-held sanitized locks, and
-* maintains one process-global order graph: first time lock *A* is
-  held while *B* is acquired, the edge A→B is recorded; a later
-  acquisition of *A* while *B* is held is an observed inversion and
-  raises :class:`LockOrderError` at the acquisition site — i.e. the
-  deadlock is reported deterministically on the first run that
-  *could* have deadlocked, instead of hanging one run in a thousand.
-
-Order is tracked per lock *name* (the label passed to
-:func:`make_lock`), so two instances created at the same site — one
-per ring, say — form one order class, and nesting a class inside
-itself is reported as self-nesting.  The graph is intentionally never
-pruned on release: lock order is a program-wide law, not a per-window
-one.  Tests use :func:`reset` to clear the global graph between cases
-and :func:`install_sanitizer`/:func:`locks_enabled` to force the mode
-without touching the environment.
-
-The ``protocol`` token.  The transport layer's objects have
-*protocols*, not just APIs: an endpoint is driven ``exchange* ->
-close`` and must never move bytes after ``close``; an exchange handle
-is completed exactly once; a transport must not have ``launch``
-re-entered while a launch is in flight.  :data:`PROTOCOLS` declares
-those protocols as data — a start state plus a ``(state, event) ->
-state`` table — and :class:`TypestateProxy` is their reader.
-:func:`wrap_protocol` wraps a live transport/endpoint/handle in a
-proxy that advances its table on every protocol-event method call and
-raises :class:`ProtocolError` at the first illegal transition.  An
-event ``e`` whose completion matters separately (``launch``) declares
-a paired ``e_done`` transition: the proxy advances ``e`` on entry and
-``e_done`` on return, so a sequential re-launch is legal while a
-re-entrant one raises.  Proxies forward everything else untouched,
-report the wrapped object's ``__class__`` (``isinstance`` keeps
-working), and unwrap proxied arguments before forwarding, so
-transports cannot observe the difference.
-
-The ``schedule`` token enables the repo's one checker for cross-rank
-communication: message matching, deadlock and leaked exchange
-handles.  :func:`begin_schedule_exploration` gives ``LocalTransport``
+:func:`begin_schedule_exploration` gives ``LocalTransport``
 a :class:`ScheduleExplorer` whose channels use *rendezvous* semantics
 — a send does not complete until its receive happens (the MPI-strict
 model) — plus a deterministic, seed-driven jitter at every blocking
@@ -70,469 +30,29 @@ import os
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
 from queue import Empty
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 __all__ = [
     "DeadlockError",
-    "LockOrderError",
-    "PROTOCOLS",
-    "Protocol",
-    "ProtocolError",
-    "SanitizedLock",
     "ScheduleError",
     "ScheduleExplorer",
-    "TypestateProxy",
     "begin_schedule_exploration",
     "end_schedule_exploration",
-    "install_protocol_sanitizer",
-    "install_sanitizer",
     "install_schedule_sanitizer",
-    "locks_enabled",
-    "make_lock",
-    "protocol_enabled",
-    "protocol_for_class",
     "reset",
-    "reset_graph",
     "schedule_checkpoint",
     "schedule_enabled",
     "schedule_note_complete",
     "schedule_note_post",
     "schedule_seed",
     "schedule_wait_scope",
-    "wrap_protocol",
 ]
 
 ENV_VAR = "REPRO_SANITIZE"
+SEED_ENV_VAR = "REPRO_SCHEDULE_SEED"
 
-#: Forced mode: None → consult the environment, True/False → override.
-_forced: Optional[bool] = None
-_forced_protocol: Optional[bool] = None
 
-#: Global observed-order graph over lock *names*: name -> names that
-#: have been acquired while it was held.
-_order: Dict[str, Set[str]] = {}
-#: First site (holder-name, acquired-name) was observed at, for the
-#: error message: (thread name, holder stack snapshot).
-_witness: Dict[Tuple[str, str], str] = {}
-_graph_lock = threading.Lock()
-
-_tls = threading.local()
-
-
-class LockOrderError(RuntimeError):
-    """An observed lock-acquisition order inversion (potential deadlock)."""
-
-
-def locks_enabled() -> bool:
-    """True when lock sanitising is active for new :func:`make_lock` calls."""
-    if _forced is not None:
-        return _forced
-    tokens = os.environ.get(ENV_VAR, "")
-    return "locks" in {t.strip() for t in tokens.split(",")}
-
-
-def install_sanitizer(enabled: bool = True) -> None:
-    """Force sanitising on/off regardless of ``REPRO_SANITIZE``.
-
-    Affects locks created *after* the call; existing plain locks stay
-    plain.  Pass ``None``-like reset via :func:`reset` to go back to
-    environment-controlled mode.
-    """
-    global _forced
-    _forced = enabled
-
-
-def reset_graph() -> None:
-    """Clear the observed-order graph only.
-
-    Rank workers call this at start-of-rank: lock order is a law *per
-    process*, and a forked worker must not inherit edges the parent
-    process observed among its own (distinct) lock instances.
-    """
-    with _graph_lock:
-        _order.clear()
-        _witness.clear()
-
-
-def protocol_enabled() -> bool:
-    """True when typestate proxying is active for :func:`wrap_protocol`."""
-    if _forced_protocol is not None:
-        return _forced_protocol
-    tokens = os.environ.get(ENV_VAR, "")
-    return "protocol" in {t.strip() for t in tokens.split(",")}
-
-
-def install_protocol_sanitizer(enabled: bool = True) -> None:
-    """Force protocol sanitising on/off regardless of ``REPRO_SANITIZE``.
-
-    Affects :func:`wrap_protocol` calls made *after* this; objects
-    already wrapped keep their proxies.
-    """
-    global _forced_protocol
-    _forced_protocol = enabled
-
-
-def reset() -> None:
-    """Clear the global order graph and forced modes (test isolation)."""
-    global _forced, _forced_protocol
-    global _forced_schedule, _forced_seed, _schedule_explorer
-    _forced = None
-    _forced_protocol = None
-    _forced_schedule = None
-    _forced_seed = None
-    if _schedule_explorer is not None:
-        _schedule_explorer.shutdown()
-        _schedule_explorer = None
-    reset_graph()
-
-
-def _held_stack() -> List[str]:
-    stack = getattr(_tls, "held", None)
-    if stack is None:
-        stack = _tls.held = []
-    return stack
-
-
-def _check_and_record(name: str) -> None:
-    """Record edges holder→``name``; raise on an inverted edge."""
-    held = _held_stack()
-    if not held:
-        return
-    # repro-lint: ignore[blocking-in-lock] — dict lookups only; the
-    # graph lock guards pure in-memory bookkeeping, never I/O.
-    with _graph_lock:
-        for holder in held:
-            if holder == name:
-                raise LockOrderError(
-                    f"lock {name!r} acquired while already held by this "
-                    f"thread's stack {held!r} — self-nesting (non-reentrant "
-                    "Lock would deadlock here)"
-                )
-            # An established name→holder edge means some thread acquired
-            # `holder` while holding `name`; we are doing the reverse.
-            if holder in _order.get(name, ()):
-                first = _witness.get((name, holder), "?")
-                raise LockOrderError(
-                    f"lock-order inversion: acquiring {name!r} while "
-                    f"holding {holder!r}, but the order {name!r} → "
-                    f"{holder!r} was previously observed ({first}); "
-                    "this interleaving can deadlock"
-                )
-        for holder in held:
-            if name not in _order.setdefault(holder, set()):
-                _order[holder].add(name)
-                _witness[(holder, name)] = (
-                    f"first seen on thread {threading.current_thread().name!r}"
-                    f" with held stack {held!r}"
-                )
-
-
-class SanitizedLock:
-    """A ``threading.Lock`` wrapper that reports acquisition order.
-
-    Context-manager and ``acquire``/``release`` compatible with the
-    plain lock it replaces; the order check runs *before* blocking on
-    the underlying lock, so a true inversion raises instead of
-    deadlocking.
-    """
-
-    __slots__ = ("_name", "_lock")
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-        self._lock = threading.Lock()
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        _check_and_record(self._name)
-        got = self._lock.acquire(blocking, timeout)
-        if got:
-            _held_stack().append(self._name)
-        return got
-
-    def release(self) -> None:
-        held = _held_stack()
-        # Remove the most recent matching hold (releases may be
-        # out-of-order in principle; LIFO is the overwhelming case).
-        for i in range(len(held) - 1, -1, -1):
-            if held[i] == self._name:
-                del held[i]
-                break
-        self._lock.release()
-
-    def locked(self) -> bool:
-        return self._lock.locked()
-
-    def __enter__(self) -> bool:
-        return self.acquire()
-
-    def __exit__(self, *exc) -> None:
-        self.release()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "locked" if self._lock.locked() else "unlocked"
-        return f"SanitizedLock({self._name!r}, {state})"
-
-
-def make_lock(name: str):
-    """A lock for production code: plain ``threading.Lock`` normally,
-    :class:`SanitizedLock` under ``REPRO_SANITIZE=locks``.
-
-    ``name`` labels the lock's order *class* — instances sharing a
-    name share ordering constraints (use one name per creation site).
-    """
-    if locks_enabled():
-        return SanitizedLock(name)
-    return threading.Lock()
-
-
-# ----------------------------------------------------------------------
-# Protocol (typestate) sanitizer
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Protocol:
-    """One object protocol: a state machine over method-call events.
-
-    ``constructors`` name what creates an instance in ``start``:
-    class-name patterns (a leading ``*`` matches a name suffix, so
-    ``"*Endpoint"`` covers every endpoint class) and/or producer
-    methods written ``".method"`` (``".post_exchange"`` — the *result*
-    of the call is the protocol object).  ``arg_events`` map a method
-    name to an event applied to that call's first argument
-    (``complete_exchange(handle)`` advances the *handle*).  Events
-    appearing in no transition from the current state are illegal;
-    ``errors`` supplies the human message for the pairs worth
-    explaining.
-    """
-
-    name: str
-    start: str
-    constructors: Tuple[str, ...]
-    transitions: Mapping[Tuple[str, str], str]
-    errors: Mapping[Tuple[str, str], str] = field(default_factory=dict)
-    arg_events: Mapping[str, str] = field(default_factory=dict)
-
-    @property
-    def alphabet(self) -> FrozenSet[str]:
-        return frozenset(e for _s, e in self.transitions) | frozenset(
-            e for _s, e in self.errors
-        )
-
-    def advance(self, state: str, event: str) -> Tuple[Optional[str], str]:
-        """``(new_state, "")`` on a legal event, ``(None, message)`` on
-        an illegal one."""
-        if event not in self.alphabet:
-            return state, ""  # not a protocol event — no state change
-        nxt = self.transitions.get((state, event))
-        if nxt is None:
-            message = self.errors.get(
-                (state, event),
-                f"{event}() is illegal in state {state!r}",
-            )
-            return None, message
-        return nxt, ""
-
-
-_DATA_OPS = ("send", "isend", "recv", "exchange", "post_exchange",
-             "complete_exchange", "allreduce")
-
-#: The transport-layer protocol tables.  Declared as plain data so a
-#: new state or event is a new row, not new checker code.
-ENDPOINT_PROTOCOL = Protocol(
-    name="endpoint",
-    start="open",
-    constructors=("*Endpoint",),
-    transitions={
-        **{("open", op): "open" for op in _DATA_OPS},
-        ("open", "close"): "closed",
-    },
-    errors={
-        **{("closed", op): f"{op}() on a closed endpoint"
-           for op in _DATA_OPS},
-        ("closed", "close"): "endpoint closed twice",
-    },
-)
-
-TRANSPORT_PROTOCOL = Protocol(
-    name="transport",
-    start="idle",
-    constructors=("*Transport",),
-    transitions={
-        ("idle", "launch"): "launching",
-        ("launching", "launch_done"): "idle",
-    },
-    errors={
-        ("launching", "launch"): (
-            "double-launch: launch() re-entered while a launch is "
-            "already in flight on this transport"
-        ),
-    },
-)
-
-EXCHANGE_HANDLE_PROTOCOL = Protocol(
-    name="exchange-handle",
-    start="posted",
-    constructors=(".post_exchange",),
-    transitions={("posted", "complete"): "completed"},
-    errors={
-        ("completed", "complete"): "exchange handle completed twice",
-    },
-    arg_events={"complete_exchange": "complete"},
-)
-
-PROTOCOLS: Tuple[Protocol, ...] = (
-    ENDPOINT_PROTOCOL,
-    TRANSPORT_PROTOCOL,
-    EXCHANGE_HANDLE_PROTOCOL,
-)
-
-
-def protocol_for_class(class_name: str) -> Optional[Protocol]:
-    """The protocol (if any) governing instances of ``class_name``
-    (an exact or ``"*suffix"`` constructor pattern) — the lookup
-    :func:`wrap_protocol` makes when wrapping a live object."""
-    for protocol in PROTOCOLS:
-        for pattern in protocol.constructors:
-            if class_name == pattern or (
-                pattern.startswith("*") and class_name.endswith(pattern[1:])
-            ):
-                return protocol
-    return None
-
-
-class ProtocolError(RuntimeError):
-    """An observed illegal typestate transition on a live object."""
-
-
-def _unwrap(value):
-    return object.__getattribute__(value, "_ts_obj") \
-        if isinstance(value, TypestateProxy) else value
-
-
-class TypestateProxy:
-    """Forwarding wrapper that advances a typestate table per call.
-
-    Protocol-event methods (the protocol's alphabet) are intercepted:
-    the event fires on *entry* (raising :class:`ProtocolError` while
-    still in the old state if the table has no transition), and the
-    paired ``<event>_done`` — when the table declares one — fires on
-    return, which is what lets a *re-entrant* ``launch`` raise while a
-    sequential one stays legal.  Declared argument events
-    (``complete_exchange(handle)`` → the handle's ``complete``) fire on
-    proxied arguments, and protocol-typed return values (an exchange
-    handle from ``post_exchange``) come back pre-wrapped so the whole
-    object graph stays under the sanitizer.  Everything else forwards
-    untouched; ``__class__`` reports the wrapped type so ``isinstance``
-    checks in the transport layer keep passing.
-    """
-
-    __slots__ = ("_ts_obj", "_ts_protocol", "_ts_state", "_ts_lock")
-
-    def __init__(self, obj, protocol) -> None:
-        object.__setattr__(self, "_ts_obj", obj)
-        object.__setattr__(self, "_ts_protocol", protocol)
-        object.__setattr__(self, "_ts_state", protocol.start)
-        object.__setattr__(self, "_ts_lock", threading.Lock())
-
-    # -- state machine --------------------------------------------------
-    def _ts_advance(self, event: str) -> None:
-        protocol = object.__getattribute__(self, "_ts_protocol")
-        lock = object.__getattribute__(self, "_ts_lock")
-        with lock:
-            state = object.__getattribute__(self, "_ts_state")
-            nxt, message = protocol.advance(state, event)
-            if nxt is None:
-                obj = object.__getattribute__(self, "_ts_obj")
-                raise ProtocolError(
-                    f"{protocol.name} protocol violation on "
-                    f"{type(obj).__name__}: {message} "
-                    f"(state {state!r}, event {event!r})"
-                )
-            object.__setattr__(self, "_ts_state", nxt)
-
-    def _ts_call(self, method: str, bound, args, kwargs):
-        protocol = object.__getattribute__(self, "_ts_protocol")
-        fire = method in protocol.alphabet
-        if fire:
-            self._ts_advance(method)
-        # Declared argument events: the *argument* is the protocol
-        # object (an exchange handle handed back for completion).
-        if args and isinstance(args[0], TypestateProxy):
-            arg = args[0]
-            arg_protocol = object.__getattribute__(arg, "_ts_protocol")
-            arg_event = arg_protocol.arg_events.get(method)
-            if arg_event is not None:
-                arg._ts_advance(arg_event)
-        try:
-            result = bound(*[_unwrap(a) for a in args],
-                           **{k: _unwrap(v) for k, v in kwargs.items()})
-        finally:
-            if fire:
-                done = method + "_done"
-                if any(e == done for _s, e in protocol.transitions):
-                    self._ts_advance(done)
-        # ``.method`` constructor patterns: this call *produced* a
-        # protocol object (post_exchange -> an exchange handle).
-        if result is not None:
-            for table in PROTOCOLS:
-                if "." + method in table.constructors:
-                    return wrap_protocol(result, table)
-        return wrap_protocol(result)
-
-    # -- transparent forwarding ----------------------------------------
-    def __getattr__(self, name: str):
-        obj = object.__getattribute__(self, "_ts_obj")
-        value = getattr(obj, name)
-        if callable(value) and not name.startswith("__"):
-            protocol = object.__getattribute__(self, "_ts_protocol")
-            if name in protocol.alphabet or any(
-                name in p.arg_events for p in PROTOCOLS
-            ):
-                def guarded(*args, **kwargs):
-                    return TypestateProxy._ts_call(
-                        self, name, value, args, kwargs
-                    )
-                return guarded
-        return value
-
-    def __setattr__(self, name: str, value) -> None:
-        setattr(object.__getattribute__(self, "_ts_obj"), name, value)
-
-    @property
-    def __class__(self):  # noqa: F811 - deliberate isinstance lie
-        return type(object.__getattribute__(self, "_ts_obj"))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        obj = object.__getattribute__(self, "_ts_obj")
-        state = object.__getattribute__(self, "_ts_state")
-        return f"TypestateProxy({obj!r}, state={state!r})"
-
-
-def wrap_protocol(obj, protocol=None):
-    """``obj`` wrapped in a :class:`TypestateProxy` when the protocol
-    sanitizer is on and a table governs its class; ``obj`` unchanged
-    otherwise (including when it is already wrapped).  This is the
-    identity function in production: transports call it at the worker
-    boundary unconditionally and pay nothing unless
-    ``REPRO_SANITIZE=protocol`` is set.
-    """
-    if not protocol_enabled() or isinstance(obj, TypestateProxy):
-        return obj
-    if protocol is None:
-        protocol = protocol_for_class(type(obj).__name__)
-    if protocol is None:
-        return obj
-    return TypestateProxy(obj, protocol)
-
-
-# ----------------------------------------------------------------------
-# Schedule-exploration sanitizer
-# ----------------------------------------------------------------------
 class ScheduleError(RuntimeError):
     """A cross-rank communication invariant violated at runtime."""
 
@@ -540,8 +60,6 @@ class ScheduleError(RuntimeError):
 class DeadlockError(ScheduleError):
     """A confirmed cross-rank wait that can never be satisfied."""
 
-
-SEED_ENV_VAR = "REPRO_SCHEDULE_SEED"
 
 _forced_schedule: Optional[bool] = None
 _forced_seed: Optional[int] = None
@@ -555,22 +73,48 @@ _CONFIRM_SECONDS = 0.25
 _TRACE_CAP = 512
 
 
+def reset() -> None:
+    """Clear the forced modes and any live explorer (test isolation)."""
+    global _forced_schedule, _forced_seed, _schedule_explorer
+    _forced_schedule = None
+    _forced_seed = None
+    if _schedule_explorer is not None:
+        _schedule_explorer.shutdown()
+        _schedule_explorer = None
+
+
 def schedule_enabled() -> bool:
-    """True when ``LocalTransport.launch`` should explore schedules."""
+    """True when ``LocalTransport.launch`` should explore schedules.
+
+    ``REPRO_SANITIZE`` is a comma-separated token list; a token with no
+    checker behind it raises ``ValueError`` rather than check nothing.
+    """
     if _forced_schedule is not None:
         return _forced_schedule
-    tokens = os.environ.get(ENV_VAR, "")
-    return "schedule" in {t.strip() for t in tokens.split(",")}
+    tokens = {t.strip() for t in os.environ.get(ENV_VAR, "").split(",")}
+    tokens.discard("")
+    unknown = sorted(tokens - {"schedule"})
+    if unknown:
+        raise ValueError(
+            f"{ENV_VAR}: unknown token(s) {unknown}; 'schedule' is the "
+            "only sanitizer"
+        )
+    return "schedule" in tokens
 
 
 def schedule_seed() -> int:
-    """The interleaving seed (``REPRO_SCHEDULE_SEED``, default 0)."""
+    """The interleaving seed (``REPRO_SCHEDULE_SEED``, default 0); a
+    value that is not an integer raises ``ValueError``, so a mistyped
+    seed never replays seed 0 under another seed's name."""
     if _forced_seed is not None:
         return _forced_seed
+    raw = os.environ.get(SEED_ENV_VAR, "0")
     try:
-        return int(os.environ.get(SEED_ENV_VAR, "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(
+            f"{SEED_ENV_VAR}={raw!r} is not an integer seed"
+        ) from None
 
 
 def install_schedule_sanitizer(enabled: bool = True,

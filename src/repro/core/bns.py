@@ -202,12 +202,11 @@ class RankData:
         """Eagerly build the shared structures (done at runtime setup so
         the first epoch's plan cost matches the steady state)."""
         self.a_bd_csc, self.p_bd_csc, self.inner_deg
-        # boundary_degree / boundary_keep_probs stay lazy: they cost
-        # O(nnz) / a water-filling only the importance sampler reads,
-        # and each is cached on first use (per rank, per config).
-        for mode in ("renorm", "scale"):
-            self.bd_edge_cols(mode)
-            self.inner_edges(mode)
+        # Everything only one sampler family reads stays lazy, cached
+        # on first use (per rank, per config) and so never shipped to a
+        # worker that does not use it: boundary_degree /
+        # boundary_keep_probs (importance) and inner_edges /
+        # bd_edge_cols (the edge samplers, BES and DropEdge).
 
     def boundary_groups(self, kept_positions: np.ndarray):
         """Group kept boundary positions by owning rank.

@@ -81,7 +81,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis import sanitizer as lock_sanitizer
+from ..analysis import sanitizer
 from ..core.bns import PartitionRuntime, RankData, derive_seeds
 from ..core.sampler import BoundarySampler, FullBoundarySampler
 from ..core.trainer import TrainHistory
@@ -404,7 +404,7 @@ class _RankLoop:
         if pipelined:
             # Peers posted top-down, so completing in posting order
             # matches the channel order.
-            lock_sanitizer.schedule_checkpoint("pipelined-drain")
+            sanitizer.schedule_checkpoint("pipelined-drain")
             self._returned = [
                 (layer_idx, serve_rows, ep.complete_exchange(pending))
                 for layer_idx, pending in posted
@@ -414,11 +414,6 @@ class _RankLoop:
 
 def _run_rank(ep: Endpoint, task: _RankTask) -> _RankOutcome:
     """One rank's whole training loop (runs inside a thread or process)."""
-    if lock_sanitizer.locks_enabled():
-        # Under REPRO_SANITIZE=locks each rank checks its own observed
-        # lock-order graph; a forked worker must not inherit edges the
-        # parent observed among its own (distinct) lock instances.
-        lock_sanitizer.reset_graph()
     loop = _RankLoop(ep, task)
     outcome = _RankOutcome(
         rank=task.rank, local_losses=[], sampling_seconds=[],
@@ -427,7 +422,7 @@ def _run_rank(ep: Endpoint, task: _RankTask) -> _RankOutcome:
     for _epoch in range(task.epochs):
         # A jitter point per epoch under REPRO_SANITIZE=schedule, so
         # different seeds stagger the ranks' epoch boundaries.
-        lock_sanitizer.schedule_checkpoint("epoch-start")
+        sanitizer.schedule_checkpoint("epoch-start")
         ep.meter.reset()
         loop.model.train()
         blocked0 = ep.blocked_seconds
@@ -540,13 +535,10 @@ class ProcessRankExecutor:
         # epochs must not be cut short by the transport default.  (A
         # transport passed in keeps its own recv_timeout; dead peers
         # surface via EOF either way.)
-        # wrap_protocol is the identity unless REPRO_SANITIZE=protocol
-        # is set, in which case the transport's typestate table (no
-        # re-entrant launch, ...) is enforced on every call.
-        self.transport = lock_sanitizer.wrap_protocol(resolve_transport(
+        self.transport = resolve_transport(
             "multiprocess" if transport is None else transport,
             m, dtype=self.dtype, recv_timeout=timeout,
-        ))
+        )
         # The in-process trainers' derivation, so seeded runs draw
         # identical boundary samples.
         self._sample_seeds, self._dropout_base = derive_seeds(seed, m)

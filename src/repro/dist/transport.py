@@ -79,11 +79,9 @@ import numpy as np
 from ..analysis.sanitizer import (
     begin_schedule_exploration,
     end_schedule_exploration,
-    make_lock,
     schedule_note_complete,
     schedule_note_post,
     schedule_wait_scope,
-    wrap_protocol,
 )
 from ..tensor.dtype import float_dtype_for_nbytes, resolve_dtype, scalar_nbytes
 
@@ -243,6 +241,9 @@ class Transport:
     def __init__(self, num_parts: int, dtype=None) -> None:
         self.dtype = resolve_dtype(dtype)
         self.meter = ByteMeter(num_parts, scalar_nbytes(self.dtype))
+        # Held for the whole of a launch; taken without blocking, so a
+        # re-entered launch fails instead of sharing the meter.
+        self._launch_lock = threading.Lock()
 
     # -- metering plane (SimulatedCommunicator-compatible) -------------
     @property
@@ -287,9 +288,24 @@ class Transport:
     ) -> List:
         """Run ``worker(endpoint, payload)`` once per rank; return results.
 
-        Only data-moving transports implement this; the simulated
-        communicator's ranks live inside the trainers' own loop.
+        One launch at a time: a launch re-entered while another is in
+        flight (from a second thread, or from inside a worker) raises
+        :class:`TransportError`; a sequential relaunch is legal.
         """
+        if not self._launch_lock.acquire(blocking=False):
+            raise TransportError(
+                f"{type(self).__name__}.launch() re-entered while a "
+                "launch is in flight"
+            )
+        try:
+            return self._launch(worker, payloads, timeout)
+        finally:
+            self._launch_lock.release()
+
+    def _launch(self, worker, payloads, timeout) -> List:
+        """The launch body.  Only data-moving transports implement it;
+        the simulated communicator's ranks live inside the trainers'
+        own loop."""
         raise NotImplementedError(
             f"{type(self).__name__} has no data plane; use LocalTransport "
             "or MultiprocessTransport to actually execute ranks"
@@ -354,6 +370,12 @@ class Endpoint:
     inside ``_get`` waiting for inbound messages; per-epoch deltas of
     it are what split measured epoch time into compute vs
     blocked-in-recv.
+
+    The endpoint enforces its own protocol: once closed, every data op
+    raises :class:`TransportError` at once (naming the op) instead of
+    queueing onto a stopped sender thread or a dropped ring mapping,
+    and a second :meth:`close` raises too.  An exchange handle is
+    redeemed at most once (:meth:`complete_exchange`).
     """
 
     def __init__(self, rank: int, num_parts: int, bytes_per_scalar: int,
@@ -428,8 +450,16 @@ class Endpoint:
                 f"rank {ticket.dst} (peer died?)"
             ) from ticket.error
 
+    def _require_open(self, op: str) -> None:
+        if self._closed:
+            raise TransportError(
+                f"rank {self.rank} {op}() on a closed endpoint"
+            )
+
     def close(self) -> None:
-        """Shut the sender threads down (launch teardown)."""
+        """Shut the sender threads down; no data op is legal after."""
+        if self._closed:
+            raise TransportError(f"rank {self.rank} endpoint closed twice")
         self._closed = True
         for q in self._send_queues.values():
             q.put(None)
@@ -462,6 +492,7 @@ class Endpoint:
         until the payload is on the wire (the queued-send join), so a
         peer that never drains raises instead of hanging.
         """
+        self._require_open("send")
         if dst == self.rank:
             raise TransportError(f"rank {self.rank} cannot send to itself")
         payload = np.asarray(payload)
@@ -480,6 +511,7 @@ class Endpoint:
         size — and the FIFO queue keeps multiple in-flight messages to
         one peer in posting order.
         """
+        self._require_open("isend")
         if dst == self.rank:
             raise TransportError(f"rank {self.rank} cannot send to itself")
         payload = np.asarray(payload)
@@ -494,6 +526,7 @@ class Endpoint:
         :attr:`blocked_seconds` (the measured, not modeled, side of the
         compute/communication split).
         """
+        self._require_open("recv")
         t0 = time.perf_counter()
         try:
             got_tag, payload = self._get(src)
@@ -523,6 +556,7 @@ class Endpoint:
         Equivalent to :meth:`complete_exchange` of a fresh
         :meth:`post_exchange` — the blocking special case.
         """
+        self._require_open("exchange")
         return self.complete_exchange(self.post_exchange(outgoing, expect, tag))
 
     def post_exchange(
@@ -539,6 +573,7 @@ class Endpoint:
         handle with :meth:`complete_exchange` when the inbound data is
         actually needed.
         """
+        self._require_open("post_exchange")
         handle = ExchangeHandle(tag=tag, expect=list(expect))
         handle.sends = [
             self.isend(dst, payload, tag) for dst, payload in outgoing.items()
@@ -553,6 +588,7 @@ class Endpoint:
         :class:`TransportError` — an abandoned sender masks a hung peer
         as corruption.
         """
+        self._require_open("complete_exchange")
         if handle.completed:
             raise TransportError(
                 f"rank {self.rank} completed exchange handle "
@@ -580,6 +616,7 @@ class Endpoint:
         gradients ship and reduce as fp32 (what the meter prices), with
         no silent fp64 upcast anywhere on the path.
         """
+        self._require_open("allreduce")
         arr = np.asarray(array)
         self._check_float_width(arr, tag)
         if arr.dtype.kind != "f":
@@ -655,7 +692,7 @@ class LocalTransport(Transport):
         super().__init__(num_parts, dtype=dtype)
         self.recv_timeout = recv_timeout
 
-    def launch(self, worker, payloads=None, timeout=None):
+    def _launch(self, worker, payloads, timeout):
         m = self.num_parts
         timeout = self.recv_timeout if timeout is None else timeout
         payloads = list(payloads) if payloads is not None else [None] * m
@@ -686,11 +723,7 @@ class LocalTransport(Transport):
             try:
                 if explorer is not None:
                     explorer.rank_started(rank)
-                # Identity unless REPRO_SANITIZE=protocol is on, in
-                # which case the endpoint enforces its typestate table.
-                results[rank] = worker(
-                    wrap_protocol(endpoints[rank]), payloads[rank]
-                )
+                results[rank] = worker(endpoints[rank], payloads[rank])
                 if explorer is not None:
                     # Leaked posted-exchange handles surface here, at
                     # the rank boundary, as this rank's failure.
@@ -728,7 +761,8 @@ class LocalTransport(Transport):
                 raise TransportError(f"ranks {stuck} still running after {timeout}s")
         finally:
             for ep in endpoints:
-                ep.close()
+                if not ep._closed:
+                    ep.close()
             end_schedule_exploration(explorer)
         for ep in endpoints:
             self.meter.merge(ep.meter)
@@ -804,11 +838,7 @@ def _proc_rank_main(worker, rank, num_parts, bytes_per_scalar, recv_timeout,
             endpoint_extra,
         )
         payload = parent_conn.recv()
-        # The worker sees its endpoint through the typestate proxy
-        # under REPRO_SANITIZE=protocol (identity otherwise); the
-        # harness close() in the finally below deliberately bypasses
-        # it — infrastructure cleanup is not a protocol event.
-        result = worker(wrap_protocol(endpoint), payload)
+        result = worker(endpoint, payload)
         parent_conn.send(("ok", result, endpoint.meter))
     except BaseException:  # noqa: BLE001 - serialised back to the parent
         try:
@@ -819,8 +849,9 @@ def _proc_rank_main(worker, rank, num_parts, bytes_per_scalar, recv_timeout,
         # Workers only ever close() their shared-memory handles —
         # unlinking is the creator's (the parent's) job, so an
         # abnormal worker exit can never leak or destroy a segment
-        # another rank still maps.
-        if endpoint is not None:
+        # another rank still maps.  A worker may have closed its
+        # endpoint itself; only an open one is closed here.
+        if endpoint is not None and not endpoint._closed:
             endpoint.close()
 
 
@@ -849,7 +880,7 @@ class MultiprocessTransport(Transport):
         """Per-launch data-plane state: (per-rank extra arg, cleanup)."""
         return None, lambda: None
 
-    def launch(self, worker, payloads=None, timeout=None):
+    def _launch(self, worker, payloads, timeout):
         import multiprocessing as mp
 
         m = self.num_parts
@@ -1323,11 +1354,8 @@ class _ShmEndpoint(Endpoint):
         # per-destination sender thread (writes) both park on the same
         # pipe when their ring stalls, and concurrent recv_bytes would
         # tear the length-prefixed doorbell frames.
-        # make_lock: plain Lock normally, order-checked wrapper under
-        # REPRO_SANITIZE=locks.  One name per creation site — instances
-        # sharing a name form one lock-order class.
         self._conn_locks: Dict[int, threading.Lock] = {
-            peer: make_lock("shm-conn") for peer in conns
+            peer: threading.Lock() for peer in conns
         }
 
     @classmethod
@@ -1346,9 +1374,11 @@ class _ShmEndpoint(Endpoint):
                    send_rings, recv_rings)
 
     def _waiter(self, peer: int, what: str) -> _RingWaiter:
+        # No control pipe (in-process harness) means no lock either:
+        # the waiter only takes the lock to poll that pipe.
         return _RingWaiter(self.rank, peer, self._conns.get(peer),
-                           self._conn_locks.get(peer) or make_lock("shm-conn"),
-                           self.recv_timeout, what)
+                           self._conn_locks.get(peer), self.recv_timeout,
+                           what)
 
     # -- ordered outbound, inline fast-path -----------------------------
     def _frame_nbytes(self, dst: int, message) -> int:

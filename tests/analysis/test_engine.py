@@ -38,9 +38,9 @@ class TestRegistry:
         assert [p.rule for p in selected] == [
             "dtype-width", "blocking-in-lock",
         ]
-        # Lock order and object protocols are checked at runtime
-        # (REPRO_SANITIZE=locks/protocol), not by a lint pass; a lock
-        # released on every path is `lifecycle`'s held-lock row.
+        # Object protocols are enforced by the endpoint and transport
+        # themselves, not by a lint pass; a lock released on every
+        # path is `lifecycle`'s held-lock row.
         for name in ("no-such-rule", "typestate", "lock-order",
                      "exception-safety"):
             with pytest.raises(KeyError, match="unknown lint pass"):

@@ -171,3 +171,44 @@ def test_executor_rank_program_explored(executor_graph, monkeypatch, world,
     assert all(f"rank {r} finished" in trace for r in range(world))
     assert "consumed" in trace
     assert explored == reference
+
+
+class TestEnvironment:
+    """The environment is outside input: a token or seed the sanitizer
+    cannot honour raises instead of silently checking something else."""
+
+    @pytest.fixture(autouse=True)
+    def _from_environment(self, monkeypatch):
+        sanitizer.reset()  # consult the environment, not a forced mode
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        monkeypatch.delenv("REPRO_SCHEDULE_SEED", raising=False)
+
+    @pytest.mark.parametrize("value, enabled", [
+        ("", False), ("schedule", True), (" schedule , ", True),
+    ])
+    def test_token_list(self, monkeypatch, value, enabled):
+        monkeypatch.setenv("REPRO_SANITIZE", value)
+        assert sanitizer.schedule_enabled() is enabled
+
+    @pytest.mark.parametrize("value", [
+        "locks", "protocol", "schedule,locks", "shedule",
+    ])
+    def test_unknown_token_raises(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_SANITIZE", value)
+        with pytest.raises(ValueError, match="REPRO_SANITIZE"):
+            sanitizer.schedule_enabled()
+        with pytest.raises(ValueError, match="REPRO_SANITIZE"):
+            LocalTransport(2).launch(lambda ep, _: ep.rank)
+
+    def test_malformed_seed_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCHEDULE_SEED", "1x")
+        with pytest.raises(ValueError, match="REPRO_SCHEDULE_SEED"):
+            sanitizer.schedule_seed()
+        monkeypatch.setenv("REPRO_SANITIZE", "schedule")
+        with pytest.raises(ValueError, match="REPRO_SCHEDULE_SEED"):
+            LocalTransport(2).launch(lambda ep, _: ep.rank)
+
+    def test_seed_parses(self, monkeypatch):
+        assert sanitizer.schedule_seed() == 0
+        monkeypatch.setenv("REPRO_SCHEDULE_SEED", " 7 ")
+        assert sanitizer.schedule_seed() == 7

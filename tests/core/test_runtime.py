@@ -103,3 +103,52 @@ class TestAggregationModes:
         runtime = PartitionRuntime(small_graph, part)
         assert runtime.ranks[0].n_boundary == 0
         assert runtime.total_boundary() == 0
+
+
+class TestLazyEdgeStructures:
+    """Only the edge samplers read ``inner_edges`` / ``bd_edge_cols``,
+    so set-up does not build them (and a shard does not ship them); the
+    first BES/DropEdge plan builds them, equal to the eager build."""
+
+    EDGE_KEYS = ("inner_edges_", "bd_edge_cols_")
+
+    def _edge_keys(self, runtime):
+        return sorted(
+            key for r in runtime.ranks for key in r._cache
+            if key.startswith(self.EDGE_KEYS)
+        )
+
+    def test_setup_builds_no_edge_structures(self, small_graph,
+                                             small_partition):
+        runtime = PartitionRuntime(small_graph, small_partition)
+        assert self._edge_keys(runtime) == []
+
+    @pytest.mark.parametrize("mode", ["renorm", "scale"])
+    def test_edge_plans_build_them_on_first_use(self, small_graph,
+                                                small_partition, mode):
+        from repro.core.sampler import BoundaryEdgeSampler, DropEdgeSampler
+
+        lazy = PartitionRuntime(small_graph, small_partition)
+        eager = PartitionRuntime(small_graph, small_partition)
+        for r in eager.ranks:
+            r.inner_edges(mode), r.bd_edge_cols(mode)
+        for sampler in (BoundaryEdgeSampler(0.5, mode),
+                        DropEdgeSampler(0.5, mode)):
+            for r_lazy, r_eager in zip(lazy.ranks, eager.ranks):
+                a = sampler.plan(r_lazy, np.random.default_rng(3))
+                b = sampler.plan(r_eager, np.random.default_rng(3))
+                np.testing.assert_array_equal(a.kept_positions,
+                                              b.kept_positions)
+                np.testing.assert_array_equal(a.prop.toarray(),
+                                              b.prop.toarray())
+        assert self._edge_keys(lazy) == self._edge_keys(eager)
+        for r_lazy, r_eager in zip(lazy.ranks, eager.ranks):
+            csr = r_lazy.a_in if mode == "renorm" else r_lazy.p_in
+            rows, cols = r_lazy.inner_edges(mode)
+            np.testing.assert_array_equal(rows, csr.tocoo().row)
+            np.testing.assert_array_equal(cols, csr.indices)
+            for lazy_arr, eager_arr in zip(
+                (*r_lazy.inner_edges(mode), r_lazy.bd_edge_cols(mode)),
+                (*r_eager.inner_edges(mode), r_eager.bd_edge_cols(mode)),
+            ):
+                np.testing.assert_array_equal(lazy_arr, eager_arr)

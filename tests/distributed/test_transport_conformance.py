@@ -20,14 +20,16 @@ with ``==`` — byte-for-byte, not approximately.
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.analysis.sanitizer import ProtocolError
 from repro.dist.comm import SimulatedCommunicator
 from repro.dist.transport import (
+    ExchangeHandle,
     LocalTransport,
     MultiprocessTransport,
     SharedMemoryTransport,
@@ -428,8 +430,9 @@ class TestDeadPeerDetection:
         with pytest.raises(TransportError, match="in flight|failed to ship"):
             transport.launch(worker, timeout=30.0)
 
-    def test_completed_handle_cannot_be_redeemed_twice(self):
-        transport = LocalTransport(2, recv_timeout=5.0)
+    @pytest.mark.parametrize("kind", DATA_MOVING)
+    def test_completed_handle_cannot_be_redeemed_twice(self, kind):
+        transport = TRANSPORT_CLASSES[kind](2, recv_timeout=5.0)
 
         def worker(ep, _):
             peer = 1 - ep.rank
@@ -437,16 +440,11 @@ class TestDeadPeerDetection:
                 {peer: np.arange(3, dtype=get_default_dtype())}, [peer], "x"
             )
             ep.complete_exchange(handle)
-            # Under REPRO_SANITIZE=protocol the typestate proxy
-            # reports the double-complete first (ProtocolError);
-            # unsanitized, the endpoint itself raises TransportError.
-            # Either way the message names the double redemption.
-            with pytest.raises((TransportError, ProtocolError),
-                               match="twice"):
+            with pytest.raises(TransportError, match="twice"):
                 ep.complete_exchange(handle)
             return True
 
-        assert transport.launch(worker, timeout=15.0) == [True, True]
+        assert transport.launch(worker, timeout=30.0) == [True, True]
 
     @pytest.mark.parametrize("kind", DATA_MOVING)
     def test_blocked_seconds_accumulates_on_recv_wait(self, kind):
@@ -469,6 +467,104 @@ class TestDeadPeerDetection:
 
         waited, _ = transport.launch(worker, timeout=30.0)
         assert waited >= 0.25
+
+
+def _arange3():
+    return np.arange(3, dtype=get_default_dtype())
+
+
+#: Every data op of an endpoint, driven towards the other rank.  The
+#: handle for ``complete_exchange`` is built rather than posted, so no
+#: posted handle is left behind for the schedule explorer to flag.
+DATA_OPS = {
+    "send": lambda ep, peer: ep.send(peer, _arange3(), "x"),
+    "isend": lambda ep, peer: ep.isend(peer, _arange3(), "x"),
+    "recv": lambda ep, peer: ep.recv(peer, "x"),
+    "exchange": lambda ep, peer: ep.exchange({peer: _arange3()}, [peer], "x"),
+    "post_exchange": lambda ep, peer: ep.post_exchange(
+        {peer: _arange3()}, [peer], "x"),
+    "complete_exchange": lambda ep, peer: ep.complete_exchange(
+        ExchangeHandle(tag="x", expect=[peer])),
+    "allreduce": lambda ep, peer: ep.allreduce(_arange3(), "x"),
+}
+
+
+def _op_after_close(ep, op):
+    ep.close()
+    t0 = time.perf_counter()
+    with pytest.raises(TransportError,
+                       match=rf"{op}\(\) on a closed endpoint"):
+        DATA_OPS[op](ep, 1 - ep.rank)
+    return time.perf_counter() - t0
+
+
+def _close_twice(ep, _):
+    ep.close()
+    with pytest.raises(TransportError, match="closed twice"):
+        ep.close()
+    return True
+
+
+def _rank_of(ep, _):
+    return ep.rank
+
+
+@pytest.mark.parametrize("kind", DATA_MOVING)
+class TestEndpointProtocol:
+    """The endpoint and the transport enforce their own protocol on
+    every transport: no data op after ``close``, no second ``close``,
+    no ``launch`` re-entered while one is in flight."""
+
+    RECV_TIMEOUT = 10.0
+
+    @pytest.mark.parametrize("op", sorted(DATA_OPS))
+    def test_data_op_after_close_raises_at_once(self, kind, op):
+        transport = TRANSPORT_CLASSES[kind](2, recv_timeout=self.RECV_TIMEOUT)
+        waited = transport.launch(_op_after_close, [op, op], timeout=30.0)
+        # At once: the op raises before touching a channel, so it never
+        # waits out the receive window.
+        assert max(waited) < self.RECV_TIMEOUT / 10
+
+    def test_close_twice_raises(self, kind):
+        transport = TRANSPORT_CLASSES[kind](2, recv_timeout=self.RECV_TIMEOUT)
+        assert transport.launch(_close_twice, timeout=30.0) == [True, True]
+
+    def test_reentered_launch_raises_and_relaunch_is_legal(self, kind):
+        transport = TRANSPORT_CLASSES[kind](2, recv_timeout=self.RECV_TIMEOUT)
+        # Process events, so ranks in worker processes can signal too.
+        started, release = mp.Event(), mp.Event()
+
+        def parked(ep, _):
+            started.set()
+            if not release.wait(20.0):
+                raise TimeoutError("never released")
+            return ep.rank
+
+        first = []
+        thread = threading.Thread(
+            target=lambda: first.append(transport.launch(parked, timeout=30.0))
+        )
+        thread.start()
+        try:
+            assert started.wait(20.0)
+            with pytest.raises(TransportError, match="re-entered"):
+                transport.launch(_rank_of, timeout=30.0)
+        finally:
+            release.set()
+            thread.join(30.0)
+        assert not thread.is_alive()
+        assert first == [[0, 1]]
+        assert transport.launch(_rank_of, timeout=30.0) == [0, 1]
+
+    def test_failed_launch_leaves_the_transport_launchable(self, kind):
+        transport = TRANSPORT_CLASSES[kind](2, recv_timeout=self.RECV_TIMEOUT)
+
+        def boom(ep, _):
+            raise ValueError("boom")
+
+        with pytest.raises(TransportError, match="boom"):
+            transport.launch(boom, timeout=30.0)
+        assert transport.launch(_rank_of, timeout=30.0) == [0, 1]
 
 
 class TestDtypeConformance:
