@@ -55,17 +55,12 @@ def sender_degrees(adj: sp.csr_matrix, assignment: np.ndarray) -> np.ndarray:
     one neighbour of v (Buluc et al. definition used in Eq. 3)."""
     assignment = np.asarray(assignment, dtype=np.int64)
     n = adj.shape[0]
-    indptr, indices = adj.indptr, adj.indices
-    own = assignment
-    d = np.zeros(n, dtype=np.int64)
-    neigh_parts = assignment[indices]
-    for v in range(n):
-        parts = neigh_parts[indptr[v]:indptr[v + 1]]
-        if parts.size == 0:
-            continue
-        uniq = np.unique(parts)
-        d[v] = uniq.size - (1 if own[v] in uniq else 0)
-    return d
+    k = int(assignment.max(initial=0)) + 1
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(adj.indptr))
+    # One code per distinct (node, neighbour part) pair.
+    pairs = np.unique(rows * k + assignment[adj.indices])
+    node, part = np.divmod(pairs, k)
+    return np.bincount(node[part != assignment[node]], minlength=n)
 
 
 def communication_volume(adj: sp.csr_matrix, partition: PartitionResult) -> int:

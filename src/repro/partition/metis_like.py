@@ -26,6 +26,16 @@ Two objectives are supported, matching the paper's discussion:
 
 Balance (Goal-2) is enforced as a hard constraint: no move may push a
 part above ``(1 + balance_eps)`` × the average part weight.
+
+Refinement costs a few array ops per boundary vertex: the gains of all
+its candidate parts come from one gather of the neighbours' part counts.
+A volume gain is a signed sum of node weights, and node weights are
+collapsed node counts, so every gain is an exact sum of integer-valued
+floats.  The order of summation therefore cannot change a gain:
+``argmax`` sees the values a per-candidate loop would, and the
+vectorised refinement reproduces a seeded partition bit for bit
+(``tests/partition/test_partition_pins.py`` pins the assignments).
+A ``cut`` gain is the difference of two part counts.
 """
 
 from __future__ import annotations
@@ -84,6 +94,7 @@ def metis_like_partition(
     a = sp.csr_matrix(adj, dtype=np.float64)
     a.setdiag(0)
     a.eliminate_zeros()
+    a.sum_duplicates()  # no-op on canonical input; refinement relies on it
 
     # ------------------------------------------------------------------
     # 1. Coarsening
@@ -266,6 +277,7 @@ def _refine(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Greedy boundary refinement under a hard balance constraint."""
+    assert adj.has_canonical_format, "refinement needs one entry per neighbour"
     n = adj.shape[0]
     assignment = assignment.copy()
     indptr, indices, data = adj.indptr, adj.indices, adj.data
@@ -283,29 +295,27 @@ def _refine(
         rng.shuffle(boundary)
         for v in boundary:
             a_part = assignment[v]
-            cand = np.flatnonzero(counts[v] > 0)
-            cand = cand[cand != a_part]
+            touches = counts[v] > 0
+            touches[a_part] = False
+            cand = touches.nonzero()[0]
             if cand.size == 0:
                 continue
             gains = _move_gains(
                 v, a_part, cand, assignment, counts, indptr, indices, data,
                 node_w, cfg.objective,
             )
+            if gains.max() <= 0:  # masking infeasible parts only lowers gains
+                continue
             # Respect balance.
             feasible = part_weight[cand] + node_w[v] <= max_weight
             gains = np.where(feasible, gains, -np.inf)
-            best = int(np.argmax(gains))
+            best = gains.argmax()
             if gains[best] <= 0:
                 continue
-            b_part = int(cand[best])
-            # Apply the move.
-            neigh = indices[indptr[v]:indptr[v + 1]]
-            w_edges = data[indptr[v]:indptr[v + 1]]
-            np.add.at(counts[:, a_part], neigh, -w_edges)
-            np.add.at(counts[:, b_part], neigh, w_edges)
-            part_weight[a_part] -= node_w[v]
-            part_weight[b_part] += node_w[v]
-            assignment[v] = b_part
+            _apply_move(
+                v, a_part, int(cand[best]), assignment, counts, part_weight,
+                indptr, indices, data, node_w,
+            )
             moved += 1
         if moved == 0:
             break
@@ -359,14 +369,36 @@ def _rebalance(
         # Prefer the donor with the strongest connection into `light`
         # (least cut damage).
         v = int(cand[np.argmax(counts[cand, light])])
-        a_part = int(assignment[v])
-        neigh = indices[indptr[v]:indptr[v + 1]]
-        w_edges = data[indptr[v]:indptr[v + 1]]
-        np.add.at(counts[:, a_part], neigh, -w_edges)
-        np.add.at(counts[:, light], neigh, w_edges)
-        part_weight[a_part] -= node_w[v]
-        part_weight[light] += node_w[v]
-        assignment[v] = light
+        _apply_move(
+            v, int(assignment[v]), light, assignment, counts, part_weight,
+            indptr, indices, data, node_w,
+        )
+
+
+def _apply_move(
+    v: int,
+    a_part: int,
+    b_part: int,
+    assignment: np.ndarray,
+    counts: np.ndarray,
+    part_weight: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    node_w: np.ndarray,
+) -> None:
+    """Move ``v`` from ``a_part`` to ``b_part`` (in place).
+
+    Plain fancy-index updates are exact only because a canonical CSR
+    row lists each neighbour once (:func:`_refine` asserts it).
+    """
+    lo, hi = indptr[v], indptr[v + 1]
+    neigh = indices[lo:hi]
+    counts[:, a_part][neigh] -= data[lo:hi]
+    counts[:, b_part][neigh] += data[lo:hi]
+    part_weight[a_part] -= node_w[v]
+    part_weight[b_part] += node_w[v]
+    assignment[v] = b_part
 
 
 def _move_gains(
@@ -382,30 +414,35 @@ def _move_gains(
     objective: str,
 ) -> np.ndarray:
     """Objective reduction for moving ``v`` from ``a_part`` to each
-    candidate part (positive = improvement)."""
+    candidate part (positive = improvement).
+
+    Every candidate must neighbour ``v`` (``counts[v, b] > 0``), as
+    :func:`_refine` guarantees.
+    """
     if objective == "cut":
         # Cut decreases by (edges to b) - (edges to a).
         return counts[v, cand] - counts[v, a_part]
 
     # Volume objective: ΔVol = Δ(w_v·D(v)) + Σ_u Δ(w_u·D(u)).
-    neigh = indices[indptr[v]:indptr[v + 1]]
-    w_edges = data[indptr[v]:indptr[v + 1]]
-    gains = np.empty(len(cand))
-    for j, b_part in enumerate(cand):
-        # D(v) = |{p != own : counts[v,p] > 0}| and v's neighbour
-        # multiset is unchanged by the move, so only the excluded own
-        # part flips: D_new - D_old = (counts[v,a]>0) - (counts[v,b]>0).
-        delta = node_w[v] * (
-            (counts[v, a_part] > 0).astype(np.float64)
-            - (counts[v, b_part] > 0).astype(np.float64)
-        )
-        # Neighbours u: counts[u, a] -= w_uv, counts[u, b] += w_uv.
-        # Presence in a vanishes iff counts[u,a] == w_uv;
-        # presence in b appears  iff counts[u,b] == 0.
-        lose_a = (np.abs(counts[neigh, a_part] - w_edges) < 1e-12) & (
-            assignment[neigh] != a_part
-        )
-        gain_b = (counts[neigh, b_part] == 0) & (assignment[neigh] != b_part)
-        delta += -(node_w[neigh] * lose_a).sum() + (node_w[neigh] * gain_b).sum()
-        gains[j] = -delta  # positive gain = volume reduction
-    return gains
+    lo, hi = indptr[v], indptr[v + 1]
+    neigh = indices[lo:hi]
+    w_neigh = node_w.take(neigh)
+    neigh_part = assignment.take(neigh)
+    rows = counts.take(neigh, 0)
+    # Terms that do not depend on the candidate b.  D(v) = |{p != own :
+    # counts[v,p] > 0}| and v's neighbour multiset is unchanged by the
+    # move, so only the excluded own part flips: D_new - D_old =
+    # (counts[v,a]>0) - (counts[v,b]>0), and counts[v,b] > 0 for every
+    # candidate.  Neighbours u: counts[u, a] -= w_uv, so presence in a
+    # vanishes iff counts[u,a] == w_uv.
+    lose_a = (np.abs(rows[:, a_part] - data[lo:hi]) < 1e-12) & (neigh_part != a_part)
+    fixed = node_w[v] * (float(counts[v, a_part] > 0) - 1.0) - np.dot(w_neigh, lose_a)
+    # counts[u, b] += w_uv, so presence in b appears iff counts[u,b] ==
+    # 0: one [deg, |cand|] mask, weighted column sums.  The one-candidate
+    # shape (every vertex at k = 2) skips the 2-D gather.
+    if cand.size == 1:
+        b_part = cand[0]
+        gain_b = ((rows[:, b_part] == 0) & (neigh_part != b_part))[:, None]
+    else:
+        gain_b = (rows.take(cand, 1) == 0) & (neigh_part[:, None] != cand)
+    return -(fixed + np.dot(w_neigh, gain_b))  # positive gain = volume reduction

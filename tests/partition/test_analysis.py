@@ -74,6 +74,17 @@ class TestSenderDegrees:
         d = sender_degrees(adj, assignment)
         assert d[0] == 2  # parts {1, 2}, not 4 edges
 
+    @given(st.integers(1, 6), st.integers(0, 100))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_per_node_loop(self, small_graph, k, seed):
+        adj = small_graph.adj
+        assignment = np.random.default_rng(seed).integers(0, k, adj.shape[0])
+        expected = [
+            len(set(assignment[adj.indices[adj.indptr[v]:adj.indptr[v + 1]]]) - {assignment[v]})
+            for v in range(adj.shape[0])
+        ]
+        np.testing.assert_array_equal(sender_degrees(adj, assignment), expected)
+
 
 class TestEdgeCut:
     def test_ring_two_parts(self):
