@@ -40,6 +40,9 @@ from .kernels import (
 )
 from .sparse import SparseOp, SplitOperator, spmm
 from .init import make_rng, xavier_normal, xavier_uniform, kaiming_uniform, zeros
+from .heap import retain_freed_pages
+
+retain_freed_pages()
 
 __all__ = [
     "DTYPES",
